@@ -69,12 +69,17 @@ let parse ~bits ~names spec =
                    && String.sub spec 0 (String.length p) = p in
   let rest p = String.sub spec (String.length p) (String.length spec - String.length p) in
   match spec with
+  | "" -> failwith "Targets.parse: empty target"
   | "all-ones" -> all_ones ~bits
   | "all-zeros" -> all_zeros ~bits
   | "upper-half" -> upper_half ~bits
   | _ when prefixed "value:" -> (
     match int_of_string_opt (rest "value:") with
-    | Some k -> value ~bits k
+    | Some k when k >= 0 && (bits >= 62 || k < 1 lsl bits) -> value ~bits k
+    | Some k ->
+      failwith
+        (Printf.sprintf "Targets.parse: value %d out of range for %d state bits"
+           k bits)
     | None -> failwith (Printf.sprintf "Targets.parse: bad value in %S" spec))
   | _ when prefixed "expr:" -> of_expr ~bits ~names (rest "expr:")
   | _ ->

@@ -42,7 +42,8 @@ type event =
     }
       (** a shard's enumeration finished: cubes found, SAT conflicts
           spent, and the shard's own stop reason (["resplit"] when the
-          shard was split further instead of kept) *)
+          shard overflowed its cube cap and was split; its cubes are
+          then kept or discarded, see [Ps_allsat.Parallel]) *)
   | Stopped of { reason : string }
       (** why the run ended (a {!Budget.stop} name or ["complete"]) *)
   | Frame_start of { index : int; frontier_cubes : int; learnts : int }
