@@ -55,7 +55,7 @@ let enumerate ?limit ?budget ?(trace = Trace.null) ?sink ?lift solver proj =
         if clause = [] then
           (* The whole projected space is one cube: nothing left. *)
           running := false
-        else if not (Solver.add_clause solver clause) then running := false
+        else if not (Solver.block solver clause) then running := false
     end
   done;
   Stats.add stats "cubes" !n_cubes;

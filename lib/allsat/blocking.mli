@@ -2,7 +2,11 @@
 
     Repeatedly: solve; read the projected assignment out of the model;
     optionally enlarge it into a cube via a lifting callback; add the
-    cube's negation as a permanent clause; continue until UNSAT.
+    cube's negation as a permanent clause with {!Ps_sat.Solver.block};
+    continue until UNSAT. [block] keeps the model's trail and backjumps
+    only to the clause's assertion level, so the next solve continues
+    from there instead of re-deciding the whole assignment from the
+    root.
 
     Without lifting, the enumerated cubes are the projected {e minterms},
     pairwise disjoint, and the clause database grows by one clause per

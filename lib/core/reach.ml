@@ -31,21 +31,6 @@ type result = {
   time_s : float;
 }
 
-let cube_of_path path =
-  Cube.of_string
-    (String.init (Array.length path) (fun i ->
-         match path.(i) with Some true -> '1' | Some false -> '0' | None -> '-'))
-
-let cubes_of_bdd f ~width =
-  let acc = ref [] in
-  B.iter_cubes f ~nvars:width (fun path -> acc := cube_of_path path :: !acc);
-  List.rev !acc
-
-let target_bdd man cubes =
-  List.fold_left
-    (fun acc c -> B.bor acc (B.cube man (Cube.to_list c)))
-    (B.zero man) cubes
-
 (* One rebuild-per-frame preimage; besides the preimage BDD, reports the
    frame's SAT calls and conflicts (0/0 for the native BDD engine) so the
    baseline emits the same per-frame trace events as the session. *)
@@ -100,7 +85,7 @@ let backward ?(engine = E_sds) ?(incremental = false) ?(max_steps = 1000)
   if nstate = 0 then invalid_arg "Reach.backward: circuit has no latches";
   let man = B.new_man ~nvars:nstate in
   let count f = B.count_models ~nvars:nstate f in
-  let reached = ref (target_bdd man target) in
+  let reached = ref (Ss.bdd_of_cubes man target) in
   let frontier = ref !reached in
   let layers = ref [ !reached ] in
   let steps = ref [] in
@@ -109,7 +94,7 @@ let backward ?(engine = E_sds) ?(incremental = false) ?(max_steps = 1000)
   let count0 = B.count_models ~nvars:nstate !reached in
   (match resume with
   | None ->
-    let target_cubes = cubes_of_bdd !reached ~width:nstate in
+    let target_cubes = Ss.cubes_of_bdd !reached ~width:nstate in
     Ss.persist_frame store ~frame:0 ~cubes:target_cubes
       ~ints:[ ("frontier_cubes", List.length target_cubes) ]
       ~floats:
@@ -148,7 +133,7 @@ let backward ?(engine = E_sds) ?(incremental = false) ?(max_steps = 1000)
     else begin
       incr index;
       let t0 = Unix.gettimeofday () in
-      let frontier_cubes = cubes_of_bdd !frontier ~width:nstate in
+      let frontier_cubes = Ss.cubes_of_bdd !frontier ~width:nstate in
       Ps_util.Trace.emit trace
         (Ps_util.Trace.Frame_start
            {
@@ -174,7 +159,7 @@ let backward ?(engine = E_sds) ?(incremental = false) ?(max_steps = 1000)
       in
       steps := step :: !steps;
       Ss.persist_frame store ~frame:!index
-        ~cubes:(cubes_of_bdd fresh ~width:nstate)
+        ~cubes:(Ss.cubes_of_bdd fresh ~width:nstate)
         ~ints:[ ("frontier_cubes", step.frontier_cubes) ]
         ~floats:
           [
@@ -187,7 +172,7 @@ let backward ?(engine = E_sds) ?(incremental = false) ?(max_steps = 1000)
           (Ps_util.Trace.Frame_done
              {
                index = !index;
-               new_cubes = List.length (cubes_of_bdd fresh ~width:nstate);
+               new_cubes = List.length (Ss.cubes_of_bdd fresh ~width:nstate);
                blocked = 0 (* no session: nothing persists across frames *);
                sat_calls;
                conflicts;
@@ -228,7 +213,7 @@ let trace r circuit ~from =
     let state = ref (Array.copy from) in
     let d = ref (depth_of from) in
     while !d > 0 do
-      let closer = cubes_of_bdd layers.(!d - 1) ~width:nstate in
+      let closer = Ss.cubes_of_bdd layers.(!d - 1) ~width:nstate in
       let inst = Instance.make ~include_inputs:true circuit closer in
       let solver = Instance.solver inst in
       let assumptions =

@@ -49,21 +49,6 @@ type t = {
   t_start : float;
 }
 
-let cube_of_path path =
-  Cube.of_string
-    (String.init (Array.length path) (fun i ->
-         match path.(i) with Some true -> '1' | Some false -> '0' | None -> '-'))
-
-let cubes_of_bdd f ~width =
-  let acc = ref [] in
-  B.iter_cubes f ~nvars:width (fun path -> acc := cube_of_path path :: !acc);
-  List.rev !acc
-
-let target_bdd man cubes =
-  List.fold_left
-    (fun acc c -> B.bor acc (B.cube man (Cube.to_list c)))
-    (B.zero man) cubes
-
 (* A permanent blocking clause over the state variables excludes one cube
    of already-reached states from every later preimage enumeration. Each
    state is blocked at most once over the whole session, so the clause-set
@@ -75,7 +60,7 @@ let block_state_cube t cube =
       (fun (pos, v) -> Lit.make t.tr.T.state_nets.(pos) (not v))
       (Cube.to_list cube)
   in
-  ignore (Solver.add_clause t.solver lits)
+  ignore (Solver.block t.solver lits)
 
 let create ?(trace = Trace.null) ?store ?resume circuit target =
   let tr = T.of_netlist circuit in
@@ -88,7 +73,7 @@ let create ?(trace = Trace.null) ?store ?resume circuit target =
   ignore (Solver.load solver (Tseitin.encode ~cone circuit));
   Solver.ensure_vars solver (N.num_nets circuit);
   let man = B.new_man ~nvars:nstate in
-  let reached = target_bdd man target in
+  let reached = Ss.bdd_of_cubes man target in
   let t =
     {
       circuit;
@@ -110,7 +95,7 @@ let create ?(trace = Trace.null) ?store ?resume circuit target =
   | None ->
     (* The target set is reached from the start: block its cubes now,
        and persist them as frame 0 of the session log. *)
-    let target_cubes = cubes_of_bdd reached ~width:nstate in
+    let target_cubes = Ss.cubes_of_bdd reached ~width:nstate in
     List.iter (block_state_cube t) target_cubes;
     Ss.persist_frame store ~frame:0 ~cubes:target_cubes
       ~ints:[ ("frontier_cubes", List.length target_cubes) ]
@@ -191,7 +176,7 @@ let frame t =
   else begin
     t.index <- t.index + 1;
     let t0 = Unix.gettimeofday () in
-    let frontier_cubes = cubes_of_bdd t.frontier ~width:t.nstate in
+    let frontier_cubes = Ss.cubes_of_bdd t.frontier ~width:t.nstate in
     let learnts_start = Solver.n_learnts t.solver in
     let conflicts0 = Stats.get (Solver.stats t.solver) "conflicts" in
     Trace.emit t.trace
@@ -203,10 +188,11 @@ let frame t =
          });
     let g = post_frontier_group t frontier_cubes in
     let assumptions = [ Solver.group_lit t.solver g ] in
-    (* Plain blocking all-SAT over the state variables: every model is a
-       state minterm of Pre(frontier) \ reached (earlier frames' blocking
-       clauses already exclude the reached set), immediately blocked
-       permanently. *)
+    (* Minterm blocking all-SAT over the state variables: every model is
+       a state minterm of Pre(frontier) \ reached (earlier frames'
+       blocking clauses already exclude the reached set), immediately
+       blocked permanently; the next solve resumes from the blocking
+       clause's assertion level. *)
     let fresh = ref (B.zero t.man) in
     let sat_calls = ref 0 in
     let new_cubes = ref 0 in
@@ -256,7 +242,7 @@ let frame t =
        cubes followed by the frame checkpoint, so a killed session
        resumes exactly here. *)
     Ss.persist_frame t.store ~frame:t.index
-      ~cubes:(cubes_of_bdd fresh ~width:t.nstate)
+      ~cubes:(Ss.cubes_of_bdd fresh ~width:t.nstate)
       ~ints:
         [
           ("frontier_cubes", frame_rec.frontier_cubes);

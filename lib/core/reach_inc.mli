@@ -23,11 +23,14 @@
       ["learnts_kept"] solver statistic counts them at each group
       retirement).
 
-    The per-frame enumeration is plain blocking all-SAT over the state
-    variables, so each frame emits the {e minterms} of
-    [Pre(frontier) \ reached]; the reached set, layers and step counts
-    are bit-identical to {!Reach.backward}'s (the differential suite
-    checks this on hundreds of random circuits). Use
+    The per-frame enumeration is minterm blocking all-SAT over the
+    state variables: each model's state minterm is blocked with
+    {!Ps_sat.Solver.block}, and the frame's next solve (under the same
+    activation assumption) continues from the blocking clause's
+    assertion level instead of the root. Each frame emits the
+    {e minterms} of [Pre(frontier) \ reached]; the reached set, layers
+    and step counts are bit-identical to {!Reach.backward}'s (the
+    differential suite checks this on hundreds of random circuits). Use
     [Reach.backward ~incremental:true] for the drop-in interface, or
     drive frames one at a time with {!create}/{!frame}. *)
 

@@ -32,6 +32,16 @@ let bdd_of_cubes man cubes =
     (fun acc c -> B.bor acc (B.cube man (Cube.to_list c)))
     (B.zero man) cubes
 
+let cube_of_path path =
+  Cube.of_string
+    (String.init (Array.length path) (fun i ->
+         match path.(i) with Some true -> '1' | Some false -> '0' | None -> '-'))
+
+let cubes_of_bdd f ~width =
+  let acc = ref [] in
+  B.iter_cubes f ~nvars:width (fun path -> acc := cube_of_path path :: !acc);
+  List.rev !acc
+
 let persist_frame store ~frame ~cubes ~ints ~floats =
   match store with
   | None -> ()

@@ -32,6 +32,11 @@ val float_stat : Ps_store.Store.checkpoint -> string -> float
 (** [bdd_of_cubes man cubes] is the union of the cubes as a BDD. *)
 val bdd_of_cubes : Ps_bdd.Bdd.man -> Ps_allsat.Cube.t list -> Ps_bdd.Bdd.t
 
+(** [cubes_of_bdd f ~width] is [f]'s canonical cube list: one cube per
+    [Bdd.iter_cubes] path over variables [0 .. width-1], in that order.
+    {!bdd_of_cubes} of the result is [f]. *)
+val cubes_of_bdd : Ps_bdd.Bdd.t -> width:int -> Ps_allsat.Cube.t list
+
 (** [persist_frame store ~frame ~cubes ~ints ~floats] appends the
     frame's cubes and its ["frame"] checkpoint; no-op on [None]. *)
 val persist_frame :

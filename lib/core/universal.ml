@@ -9,11 +9,6 @@ type result = {
   time_s : float;
 }
 
-let cube_of_path path =
-  Cube.of_string
-    (String.init (Array.length path) (fun i ->
-         match path.(i) with Some true -> '1' | Some false -> '0' | None -> '-'))
-
 let preimage ?(method_ = Engine.Sds) circuit target =
   let t0 = Unix.gettimeofday () in
   let inst = Instance.make ~negate:true circuit target in
@@ -22,14 +17,12 @@ let preimage ?(method_ = Engine.Sds) circuit target =
   let man = B.new_man ~nvars:(max nstate 1) in
   let escape = Check.result_bdd man r ~width:nstate in
   let states = B.bnot escape in
-  let cubes = ref [] in
-  B.iter_cubes states ~nvars:nstate (fun path ->
-      cubes := cube_of_path path :: !cubes);
+  let cubes = Session_store.cubes_of_bdd states ~width:nstate in
   {
     states;
     man;
     count = B.count_models ~nvars:nstate states;
-    cubes = List.rev !cubes;
+    cubes;
     time_s = Unix.gettimeofday () -. t0;
   }
 

@@ -56,6 +56,11 @@ type t = {
   mutable n_watch_visits : int;
   mutable n_blocker_skips : int;
   mutable conflict_core : Lit.t list;
+  (* [Some a]: the trail above the root is the last [Sat] answer's,
+     found under assumptions [a], possibly cut back by [block]. Only a
+     [solve] under the same assumptions resumes from it; every other
+     entry point returns to the root first. *)
+  mutable kept : Lit.t array option;
   (* Retractable clause groups: activation variable -> live crefs of the
      group's arena clauses (unit group clauses are enqueued, not stored).
      Retired groups leave the table. *)
@@ -111,6 +116,7 @@ let create () =
     n_watch_visits = 0;
     n_blocker_skips = 0;
     conflict_core = [];
+    kept = None;
     groups = Hashtbl.create 16;
     n_groups_retired = 0;
     n_learnts_kept = 0;
@@ -242,6 +248,10 @@ let cancel_until t lvl =
     Vec.shrink t.trail_lim lvl;
     t.qhead <- bound
   end
+
+let back_to_root t =
+  cancel_until t 0;
+  t.kept <- None
 
 (* --- activities ------------------------------------------------------ *)
 
@@ -567,7 +577,7 @@ let reduce_db t =
 (* Shared add path; returns the arena reference when the (simplified)
    clause was actually stored, so the group registry can index it. *)
 let add_clause_cref t lits =
-  cancel_until t 0;
+  back_to_root t;
   if not t.ok then (false, cref_undef)
   else begin
     List.iter (fun l -> ensure_vars t (Lit.var l + 1)) lits;
@@ -602,6 +612,39 @@ let add_clause_cref t lits =
 
 let add_clause t lits = fst (add_clause_cref t lits)
 
+(* Add a clause that the kept model trail falsifies without giving the
+   trail up: watch the two highest-level literals and backjump to the
+   clause's assertion level, the second-highest level, asserting the
+   highest literal there (a tie at the top leaves two literals free one
+   level below it). Anything else goes through [add_clause]. *)
+let block t lits =
+  match t.kept with
+  | None -> add_clause t lits
+  | Some _ ->
+    let lits = List.sort_uniq compare lits in
+    if not (List.for_all (fun l -> Lit.var l < t.n_vars && value_lit t l = 0) lits)
+    then add_clause t lits
+    else begin
+      let level l = t.level.(Lit.var l) in
+      let by_level =
+        List.stable_sort
+          (fun x y -> compare (level y) (level x))
+          (List.filter (fun l -> level l > 0) lits)
+      in
+      match by_level with
+      | [] | [ _ ] -> add_clause t lits
+      | top :: second :: _ ->
+        let cr = Arena.alloc t.arena ~learnt:false (Array.of_list by_level) in
+        Vec.push t.clauses cr;
+        attach t cr;
+        if level top > level second then begin
+          cancel_until t (level second);
+          ignore (enqueue t top cr)
+        end
+        else cancel_until t (level top - 1);
+        true
+    end
+
 let load t cnf =
   ensure_vars t cnf.Cnf.nvars;
   List.fold_left
@@ -614,6 +657,7 @@ let load t cnf =
 type group = int (* the activation variable *)
 
 let new_group t =
+  back_to_root t;
   let v = new_var t in
   Hashtbl.replace t.groups v (Vec.create ~dummy:cref_undef);
   v
@@ -846,27 +890,28 @@ let solve ?(assumptions = []) ?budget ?(trace = Trace.null) t =
                (match r with Sat -> "sat" | Unsat -> "unsat" | Unknown -> "unknown");
              conflicts = t.n_conflicts;
            });
+    if r <> Sat then back_to_root t;
     r
   in
+  let assumptions = Array.of_list assumptions in
+  (match t.kept with
+  | Some a when a = assumptions -> ()
+  | _ -> cancel_until t 0);
+  t.kept <- None;
   if not t.ok then finish Unsat
   else if (match budget with Some b -> Budget.check b <> None | None -> false)
   then finish Unknown
   else begin
-    let assumptions = Array.of_list assumptions in
     Array.iter (fun l -> ensure_vars t (Lit.var l + 1)) assumptions;
     t.max_learnts <-
       max t.max_learnts (float_of_int (Vec.size t.clauses) /. 3.0);
     let rec loop attempt =
       match search t assumptions (restart_base * Luby.luby attempt) budget with
       | S_sat ->
-        cancel_until t 0;
+        t.kept <- Some assumptions;
         finish Sat
-      | S_unsat ->
-        cancel_until t 0;
-        finish Unsat
-      | S_stopped ->
-        cancel_until t 0;
-        finish Unknown
+      | S_unsat -> finish Unsat
+      | S_stopped -> finish Unknown
       | S_restart ->
         t.max_learnts <- t.max_learnts *. 1.1;
         loop (attempt + 1)
@@ -947,6 +992,12 @@ let check_watches t =
       live;
     Ok ()
   with Bad msg -> Error msg
+
+let dbg_assignment t v =
+  match value_var t v with
+  | 1 -> Some (true, t.level.(v))
+  | 0 -> Some (false, t.level.(v))
+  | _ -> None
 
 let dbg_reduce_db t = reduce_db t
 let dbg_gc t = garbage_collect t

@@ -12,6 +12,16 @@
     probe satisfiability of partial assignments while keeping every
     learnt clause.
 
+    {b The Sat trail.} A [Sat] answer leaves the model's trail in
+    place. {!block} adds a clause that this trail falsifies and
+    backjumps only to the clause's assertion level; the next [solve]
+    under the {e same} assumptions continues from the kept prefix
+    instead of re-deciding the whole assignment. Every other call
+    returns to the root first: {!add_clause}, {!load}, the group API, a
+    [solve] with different assumptions, and every [Unsat] or [Unknown]
+    answer. A [solve] repeated after [Sat] with nothing in between
+    returns the same model at once.
+
     Clause storage is a flat {!Arena}: all literals live in one
     contiguous int array, a clause is an integer offset, and watcher
     lists are flat vectors of (clause, blocker-literal) pairs. Learnt-DB
@@ -45,6 +55,21 @@ val ensure_vars : t -> int -> unit
     makes the formula trivially unsatisfiable at the root (the solver is
     then permanently unsat). *)
 val add_clause : t -> Lit.t list -> bool
+
+(** [block t lits] adds [lits] as a permanent problem clause, like
+    {!add_clause}, but keeps the trail of the last [Sat] answer when
+    that trail falsifies every literal of [lits] — the blocking clause
+    of an all-solutions loop. The clause watches its two highest-level
+    literals. If the highest level is unique, the solver backjumps to
+    the second-highest level and asserts the highest literal there with
+    the clause as its reason; on a tie it backjumps to one level below
+    the highest. A following [solve] under the same assumptions resumes
+    from that prefix.
+
+    When there is no kept trail, or [lits] is not all-false under it,
+    or at most one of its literals lies above the root, [block] is
+    exactly {!add_clause}. Same return contract as {!add_clause}. *)
+val block : t -> Lit.t list -> bool
 
 (** [load t cnf] allocates [cnf]'s variables and adds all its clauses. *)
 val load : t -> Cnf.t -> bool
@@ -108,7 +133,9 @@ val learnts_kept : t -> int
 
 (** [solve ?assumptions ?budget ?trace t] decides satisfiability of the
     clause set under the given assumption literals. Learnt clauses
-    persist across calls.
+    persist across calls. A [Sat] answer keeps its trail (see {!block});
+    the next call resumes from it under the same assumptions and starts
+    from the root otherwise.
 
     [budget] makes the call interruptible: conflicts, decisions and
     propagations are charged against it as they happen and the deadline
@@ -177,6 +204,11 @@ val unsat_core : t -> Lit.t list
     of one of its two watched literals, and every clause is watched
     exactly twice. Returns [Error msg] describing the first violation. *)
 val check_watches : t -> (unit, string) Stdlib.result
+
+(** [dbg_assignment t v] is [Some (value, decision level)] for an
+    assigned variable, [None] for an unassigned one — the trail as the
+    solver holds it now. *)
+val dbg_assignment : t -> Lit.var -> (bool * int) option
 
 (** Force a learnt-DB reduction (normally triggered by the learnt-clause
     cap during search). May trigger an arena collection. *)

@@ -505,6 +505,281 @@ let group_enumeration_matches_plain =
       in
       with_group && after_retire)
 
+(* --- Solver: blocking without restarts ------------------------------- *)
+
+let watches_ok s =
+  match Solver.check_watches s with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "watch invariants after block: %s" msg
+
+(* Every assigned variable sits at the root. *)
+let at_root s =
+  List.for_all
+    (fun v ->
+      match Solver.dbg_assignment s v with
+      | None | Some (_, 0) -> true
+      | Some _ -> false)
+    (List.init (Solver.nvars s) Fun.id)
+
+let blocking_clause proj bits keep =
+  List.concat
+    (List.map2
+       (fun (v, b) k -> if k then [ Lit.make v (not b) ] else [])
+       (List.combine proj bits) keep)
+
+let keep_all bits = List.map (fun _ -> true) bits
+
+(* The reference loop: every projected model is blocked with
+   [add_clause], which returns to the root before the next solve. *)
+let projected_models_by_restart f ~proj ~assumptions =
+  let s = solver_of f in
+  let found = ref [] in
+  let rec loop () =
+    match Solver.solve ~assumptions s with
+    | Solver.Sat ->
+      let bits = List.map (Solver.model_value s) proj in
+      found := bits :: !found;
+      if Solver.add_clause s (blocking_clause proj bits (keep_all bits)) then loop ()
+    | Solver.Unsat | Solver.Unknown -> ()
+  in
+  loop ();
+  List.sort compare !found
+
+(* [block] on the kept trail: with the trail's levels read just before
+   the call, the clause's top literal must be asserted at the
+   second-highest level (unique top), both top literals must be free
+   (tie), or the solver must be back at the root (fallback). *)
+let block_checked s clause =
+  let levels =
+    List.map
+      (fun l ->
+        match Solver.dbg_assignment s (Lit.var l) with
+        | Some (value, lvl) ->
+          if value = Lit.sign l then Alcotest.fail "blocked literal is true";
+          (l, lvl)
+        | None -> Alcotest.fail "blocked literal is unassigned")
+      clause
+  in
+  let above_root =
+    List.stable_sort (fun (_, a) (_, b) -> compare b a)
+      (List.filter (fun (_, lvl) -> lvl > 0) levels)
+  in
+  let ok = Solver.block s clause in
+  watches_ok s;
+  (match above_root with
+  | (top, h) :: (second, s2) :: _ ->
+    if h > s2 then
+      Alcotest.(check (option (pair bool int)))
+        "top literal asserted at the second-highest level"
+        (Some (Lit.sign top, s2))
+        (Solver.dbg_assignment s (Lit.var top))
+    else begin
+      check_bool "tie: top literal free" true
+        (Solver.dbg_assignment s (Lit.var top) = None);
+      check_bool "tie: second literal free" true
+        (Solver.dbg_assignment s (Lit.var second) = None)
+    end
+  | [] | [ _ ] -> check_bool "fallback returns to the root" true (at_root s));
+  ok
+
+(* All projected minterms of the cube [bits]/[keep]. *)
+let minterms bits keep =
+  List.fold_right2
+    (fun b k acc ->
+      let heads = if k then [ b ] else [ false; true ] in
+      List.concat_map (fun h -> List.map (fun rest -> h :: rest) acc) heads)
+    bits keep [ [] ]
+
+(* Enumerate with [block] until Unsat; [lift bits] picks the positions
+   each cube keeps fixed. Returns the minterms of every cube, with
+   repeats. *)
+let drain_by_block ?(lift = keep_all) s ~proj ~assumptions =
+  let found = ref [] in
+  let rec loop () =
+    match Solver.solve ~assumptions s with
+    | Solver.Sat ->
+      let bits = List.map (Solver.model_value s) proj in
+      let keep = lift bits in
+      found := minterms bits keep @ !found;
+      if block_checked s (blocking_clause proj bits keep) then loop ()
+    | Solver.Unsat | Solver.Unknown -> ()
+  in
+  loop ();
+  !found
+
+let block_enumeration_matches_restart =
+  Helpers.qtest "block enumeration = root-restart enumeration" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = R.create ~seed in
+      let nvars = 1 + R.int rng 8 in
+      let f =
+        Helpers.random_cnf rng ~nvars ~nclauses:(R.int rng (3 * nvars)) ~max_len:3
+      in
+      let proj = List.filter (fun _ -> R.int rng 3 > 0) (List.init nvars Fun.id) in
+      let assumptions =
+        if R.bool rng then []
+        else
+          List.sort_uniq compare
+            (List.init (1 + R.int rng 2) (fun _ ->
+                 Lit.make (R.int rng nvars) (R.bool rng)))
+      in
+      let expected = projected_models_by_restart f ~proj ~assumptions in
+      (* A sound lift, by brute force: free a position whenever every
+         minterm of the widened cube is still a projected model. *)
+      let lift =
+        if R.bool rng then None
+        else
+          Some
+            (fun bits ->
+              let keep = Array.of_list (keep_all bits) in
+              Array.iteri
+                (fun i _ ->
+                  keep.(i) <- false;
+                  if
+                    not
+                      (List.for_all
+                         (fun m -> List.mem m expected)
+                         (minterms bits (Array.to_list keep)))
+                  then keep.(i) <- true)
+                keep;
+              Array.to_list keep)
+      in
+      let covered = drain_by_block ?lift (solver_of f) ~proj ~assumptions in
+      List.sort_uniq compare covered = expected
+      && (lift <> None || List.length covered = List.length expected))
+
+let test_block_then_other_assumptions () =
+  (* After blocking on a kept trail, a solve under different
+     assumptions must answer exactly as a fresh solver holding the same
+     clauses. *)
+  let f =
+    Cnf.of_clauses ~nvars:8
+      [
+        [ Lit.pos 0; Lit.pos 1 ];
+        [ Lit.neg 0; Lit.pos 2 ];
+        [ Lit.neg 1; Lit.pos 3; Lit.pos 4 ];
+      ]
+  in
+  (* Variables 5-7 are free, so the kept trail is several decisions deep. *)
+  let proj = [ 0; 1; 2; 3; 5; 6 ] in
+  let s = solver_of f in
+  let blocked = ref [] in
+  let probes =
+    [
+      [];
+      [ Lit.neg 0 ];
+      [ Lit.pos 1; Lit.neg 3 ];
+      [ Lit.pos 0; Lit.pos 4 ];
+      [ Lit.pos 5; Lit.pos 7 ];
+      [ Lit.neg 6; Lit.pos 7 ];
+    ]
+  in
+  for round = 1 to 4 do
+    List.iter
+      (fun assumptions ->
+        Alcotest.check sat (Printf.sprintf "round %d sat" round) Solver.Sat
+          (Solver.solve s);
+        let bits = List.map (Solver.model_value s) proj in
+        let clause = blocking_clause proj bits (keep_all bits) in
+        blocked := clause :: !blocked;
+        ignore (block_checked s clause);
+        let fresh = solver_of f in
+        List.iter (fun c -> ignore (Solver.add_clause fresh c)) !blocked;
+        let want = Solver.solve ~assumptions fresh in
+        let got = Solver.solve ~assumptions s in
+        Alcotest.check sat "same answer as a fresh solver" want got;
+        if got = Solver.Sat then begin
+          let m = Solver.model s in
+          check_bool "model satisfies the formula" true (Cnf.eval f m);
+          check_bool "model satisfies the blocks" true
+            (List.for_all
+               (List.exists (fun l -> m.(Lit.var l) = Lit.sign l))
+               !blocked);
+          check_bool "model satisfies the assumptions" true
+            (List.for_all (fun l -> m.(Lit.var l) = Lit.sign l) assumptions)
+        end)
+      probes
+  done
+
+let test_sat_then_add_clause_restarts () =
+  let f = Cnf.of_clauses ~nvars:6 [ [ Lit.pos 0; Lit.pos 1; Lit.pos 2 ] ] in
+  let s = solver_of f in
+  Alcotest.check sat "sat" Solver.Sat (Solver.solve s);
+  check_bool "a Sat answer keeps its trail" false (at_root s);
+  check_bool "add" true (Solver.add_clause s [ Lit.pos 3; Lit.pos 4 ]);
+  check_bool "add_clause returns to the root" true (at_root s);
+  Alcotest.check sat "sat again" Solver.Sat (Solver.solve s);
+  check_bool "a solve after add_clause is still correct" true
+    (Solver.model_value s 3 || Solver.model_value s 4);
+  let m = Solver.model s in
+  Alcotest.check sat "repeated solve" Solver.Sat (Solver.solve s);
+  check_bool "a repeated solve returns the same model" true (Solver.model s = m)
+
+let test_block_budget_stop_resumes () =
+  (* Random 3-CNF near the threshold: enumerating every model hits
+     conflicts. Each solve gets a one-conflict budget; a stopped call
+     must leave the solver at the root, and retrying it must continue
+     the enumeration with nothing lost or repeated. *)
+  let rng = R.create ~seed:90017 in
+  let nvars = 16 in
+  let f =
+    Cnf.of_clauses ~nvars
+      (List.init 56 (fun _ ->
+           List.init 3 (fun _ -> Lit.make (R.int rng nvars) (R.bool rng))))
+  in
+  let proj = List.init nvars Fun.id in
+  let expected = projected_models_by_restart f ~proj ~assumptions:[] in
+  check_bool "instance has models" true (expected <> []);
+  let s = solver_of f in
+  let found = ref [] in
+  let stops = ref 0 in
+  let rec loop () =
+    let budget = Ps_util.Budget.make ~conflicts:1 () in
+    match Solver.solve ~budget s with
+    | Solver.Unknown ->
+      incr stops;
+      check_bool "stopped solve returns to the root" true (at_root s);
+      (match Solver.solve s with
+      | Solver.Sat -> emit ()
+      | Solver.Unsat | Solver.Unknown -> ())
+    | Solver.Sat -> emit ()
+    | Solver.Unsat -> ()
+  and emit () =
+    let bits = List.map (Solver.model_value s) proj in
+    found := bits :: !found;
+    if block_checked s (blocking_clause proj bits (keep_all bits))
+    then loop ()
+  in
+  loop ();
+  check_bool "some solve was stopped" true (!stops > 0);
+  Alcotest.(check (list (list bool))) "same models" expected
+    (List.sort compare !found)
+
+let test_block_then_groups () =
+  (* block, then a group round trip: new_group returns to the root, the
+     grouped enumeration continues from the blocks, and after retirement
+     the rest of the models follow. *)
+  let nvars = 4 in
+  let f = Cnf.of_clauses ~nvars [ [ Lit.pos 0; Lit.pos 1 ] ] in
+  let proj = List.init nvars Fun.id in
+  let expected = projected_models_by_restart f ~proj ~assumptions:[] in
+  let s = solver_of f in
+  Alcotest.check sat "first model" Solver.Sat (Solver.solve s);
+  let first = List.map (Solver.model_value s) proj in
+  ignore (block_checked s (blocking_clause proj first (keep_all first)));
+  let g = Solver.new_group s in
+  check_bool "new_group returns to the root" true (at_root s);
+  ignore (Solver.add_grouped s g [ Lit.pos 2 ]);
+  let grouped = drain_by_block s ~proj ~assumptions:[ Solver.group_lit s g ] in
+  check_bool "grouped models all satisfy the group" true
+    (List.for_all (fun m -> List.nth m 2) grouped);
+  Solver.retire_group s g;
+  watches_ok s;
+  let rest = drain_by_block s ~proj ~assumptions:[] in
+  Alcotest.(check (list (list bool))) "every model exactly once" expected
+    (List.sort compare ((first :: grouped) @ rest))
+
 let () =
   Alcotest.run "ps_sat"
     [
@@ -552,6 +827,18 @@ let () =
           Alcotest.test_case "degenerate unit deactivates" `Quick
             test_group_degenerate_unit;
           group_enumeration_matches_plain;
+        ] );
+      ( "block",
+        [
+          block_enumeration_matches_restart;
+          Alcotest.test_case "then different assumptions" `Quick
+            test_block_then_other_assumptions;
+          Alcotest.test_case "add_clause after Sat restarts" `Quick
+            test_sat_then_add_clause_restarts;
+          Alcotest.test_case "budget-stopped solve resumes" `Quick
+            test_block_budget_stop_resumes;
+          Alcotest.test_case "then a group round trip" `Quick
+            test_block_then_groups;
         ] );
       ( "unsat_core",
         [
