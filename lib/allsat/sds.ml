@@ -36,22 +36,73 @@ let default_config = config Sds
 
 type result = Run.t
 
-let tri_char = function G.F -> '0' | G.T -> '1' | G.X -> 'x'
+(* Signature encoding: each visited net as the varint of
+   [(net lsl 2) lor tri]. A varint is self-delimiting, so the
+   concatenation is prefix-free and two keys are equal exactly when they
+   list the same (net, value) sequence. *)
+let tri_code = function G.F -> 0 | G.T -> 1 | G.X -> 2
+
+let rec add_varint buf x =
+  if x < 0x80 then Buffer.add_char buf (Char.unsafe_chr x)
+  else begin
+    Buffer.add_char buf (Char.unsafe_chr (x land 0x7f lor 0x80));
+    add_varint buf (x lsr 7)
+  end
 
 let search ?(config = default_config) ?limit ?budget ?(trace = Trace.null)
     ?sink ?prefix ~netlist ~root ~proj_nets ~solver () =
   let n = Array.length proj_nets in
   let nnets = N.num_nets netlist in
-  Array.iter
-    (fun net ->
-      if net < 0 || net >= nnets then invalid_arg "Sds.search: bad projection net")
-    proj_nets;
   let pos_of_net = Array.make nnets (-1) in
-  Array.iteri (fun i net -> pos_of_net.(net) <- i) proj_nets;
+  Array.iteri
+    (fun i net ->
+      if net < 0 || net >= nnets then invalid_arg "Sds.search: bad projection net";
+      (* The simulator decides projection nets as leaves; a gate's value
+         is the function of its fanins, not a free choice. *)
+      (match N.driver netlist net with
+      | N.Gate _ ->
+        invalid_arg "Sds.search: projection net is not an input or a latch"
+      | N.Input | N.Latch _ -> ());
+      if pos_of_net.(net) >= 0 then
+        invalid_arg "Sds.search: duplicate projection net";
+      pos_of_net.(net) <- i)
+    proj_nets;
   let man = Sg.new_man ~width:n in
   let stats = Stats.create () in
+  let assumption_stack = ref [] in
+  (* A guiding-path prefix confines the whole search to one disjoint
+     subcube of the projection space: the prefix positions are seeded
+     into the ternary environment and the assumption stack exactly as if
+     [branch] had decided them, and the recursion starts below them. The
+     returned graph therefore only holds paths over the remaining
+     positions — {!Parallel} re-attaches the prefix at merge time. *)
   let env = Array.make nnets G.X in
-  let values = Array.make nnets G.X in
+  let start_depth =
+    match prefix with
+    | None -> 0
+    | Some p ->
+      if Cube.width p <> n then invalid_arg "Sds.search: prefix width mismatch";
+      let lits = Cube.to_list p in
+      List.iteri
+        (fun i (pos, _) ->
+          if pos <> i then
+            invalid_arg
+              "Sds.search: prefix must fix a contiguous run of leading \
+               positions")
+        lits;
+      List.iter
+        (fun (pos, v) ->
+          let net = proj_nets.(pos) in
+          env.(net) <- (if v then G.T else G.F);
+          assumption_stack :=
+            (if v then Lit.pos net else Lit.neg net) :: !assumption_stack)
+        lits;
+      List.length lits
+  in
+  (* One full simulation here; below, every decision is propagated
+     through its fanout and undone on backtrack. *)
+  let sim = Sim.Trail.create netlist ~env in
+  let values = Sim.Trail.values sim in
   (* Justification-frontier signature: the residual solution set below a
      search node is determined by the sub-DAG of X-valued gates still
      observable from the root, together with the values of their
@@ -80,8 +131,7 @@ let search ?(config = default_config) ?limit ?budget ?(trace = Trace.null)
       if visited.(net) <> epoch then begin
         visited.(net) <- epoch;
         let v = values.(net) in
-        Buffer.add_string sig_buf (string_of_int net);
-        Buffer.add_char sig_buf (tri_char v);
+        add_varint sig_buf ((net lsl 2) lor tri_code v);
         if v = G.X then begin
           match N.driver netlist net with
           | N.Gate (_, fanins) -> Array.iter mark fanins
@@ -98,11 +148,11 @@ let search ?(config = default_config) ?limit ?budget ?(trace = Trace.null)
      variable is a function of the signature), which shares subgraphs
      across depths too. *)
   let memo : (int * string, Sg.t) Hashtbl.t = Hashtbl.create 1024 in
-  let assumption_stack = ref [] in
   let n_search_nodes = ref 0 in
   let n_memo_hits = ref 0 in
   let n_ternary = ref 0 in
   let n_sat_calls = ref 0 in
+  let n_model_hits = ref 0 in
   let n_unsat_prunes = ref 0 in
   (* Anytime interruption: once [stop] is set, every pending subtree
      resolves to the 0-terminal without further work, so the recursion
@@ -129,21 +179,53 @@ let search ?(config = default_config) ?limit ?budget ?(trace = Trace.null)
     end;
     !stop <> None
   in
+  (* The projected part of the models Sat probes returned on the current
+     DFS path, at most one per node, innermost last; a node drops its
+     own when it returns. The search adds no clause to [solver], so each
+     of them still satisfies the formula, and a probe whose assumptions
+     all hold in one of them is Sat without a solver call. *)
+  let path_models = Array.make_matrix (n + 1) n false in
+  let n_path_models = ref 0 in
+  let rec holds model = function
+    | [] -> true
+    | l :: rest -> model.(pos_of_net.(Lit.var l)) = Lit.sign l && holds model rest
+  in
+  let rec path_model_satisfies assumptions i =
+    i >= 0
+    && (holds path_models.(i) assumptions || path_model_satisfies assumptions (i - 1))
+  in
   let sat_probe () =
-    incr n_sat_calls;
-    Solver.solve ~assumptions:!assumption_stack ?budget ~trace solver
+    let assumptions = !assumption_stack in
+    if path_model_satisfies assumptions (!n_path_models - 1) then begin
+      incr n_model_hits;
+      Solver.Sat
+    end
+    else begin
+      incr n_sat_calls;
+      let r = Solver.solve ~assumptions ?budget ~trace solver in
+      if r = Solver.Sat then begin
+        let m = path_models.(!n_path_models) in
+        for i = 0 to n - 1 do
+          m.(i) <- Solver.model_value solver proj_nets.(i)
+        done;
+        incr n_path_models
+      end;
+      r
+    end
   in
   let branch net k recurse =
     let pos = pos_of_net.(net) in
-    env.(net) <- G.F;
+    let mark = Sim.Trail.mark sim in
+    Sim.Trail.assign sim net false;
     assumption_stack := Lit.neg net :: !assumption_stack;
     let lo = recurse (k + 1) in
     commit lo;
-    env.(net) <- G.T;
+    Sim.Trail.undo sim mark;
+    Sim.Trail.assign sim net true;
     assumption_stack := Lit.pos net :: List.tl !assumption_stack;
     let hi = recurse (k + 1) in
     commit hi;
-    env.(net) <- G.X;
+    Sim.Trail.undo sim mark;
     assumption_stack := List.tl !assumption_stack;
     (* The parent's paths are exactly lo's + hi's, both already
        committed — withdraw them so the ancestors' commits don't double
@@ -155,7 +237,6 @@ let search ?(config = default_config) ?limit ?budget ?(trace = Trace.null)
     if check_stop () then Sg.zero man
     else begin
       incr n_search_nodes;
-      Sim.eval3_into netlist ~env ~values;
       match values.(root) with
       | G.T ->
         incr n_ternary;
@@ -185,6 +266,7 @@ let search ?(config = default_config) ?limit ?budget ?(trace = Trace.null)
             Trace.emit trace (Trace.Memo_hit { depth = k; hits = !n_memo_hits });
           node
         | None ->
+          let models_below = !n_path_models in
           let node =
             if branch_net = -1 then begin
               (* No projected variable can influence the objective anymore:
@@ -217,6 +299,7 @@ let search ?(config = default_config) ?limit ?budget ?(trace = Trace.null)
             then Sg.zero man
             else branch branch_net k go
           in
+          n_path_models := models_below;
           (* A subtree finished under an active stop is truncated:
              caching it would poison complete reruns of the same
              signature. *)
@@ -226,40 +309,13 @@ let search ?(config = default_config) ?limit ?budget ?(trace = Trace.null)
           node)
     end
   in
-  (* A guiding-path prefix confines the whole search to one disjoint
-     subcube of the projection space: the prefix positions are seeded
-     into the ternary environment and the assumption stack exactly as if
-     [branch] had decided them, and the recursion starts below them. The
-     returned graph therefore only holds paths over the remaining
-     positions — {!Parallel} re-attaches the prefix at merge time. *)
-  let start_depth =
-    match prefix with
-    | None -> 0
-    | Some p ->
-      if Cube.width p <> n then invalid_arg "Sds.search: prefix width mismatch";
-      let lits = Cube.to_list p in
-      List.iteri
-        (fun i (pos, _) ->
-          if pos <> i then
-            invalid_arg
-              "Sds.search: prefix must fix a contiguous run of leading \
-               positions")
-        lits;
-      List.iter
-        (fun (pos, v) ->
-          let net = proj_nets.(pos) in
-          env.(net) <- (if v then G.T else G.F);
-          assumption_stack :=
-            (if v then Lit.pos net else Lit.neg net) :: !assumption_stack)
-        lits;
-      List.length lits
-  in
   let graph = go start_depth in
   let stopped = match !stop with Some s -> s | None -> `Complete in
   Stats.add stats "search_nodes" !n_search_nodes;
   Stats.add stats "memo_hits" !n_memo_hits;
   Stats.add stats "ternary_decides" !n_ternary;
   Stats.add stats "sat_calls" !n_sat_calls;
+  Stats.add stats "model_hits" !n_model_hits;
   Stats.add stats "unsat_prunes" !n_unsat_prunes;
   Stats.add stats "graph_nodes" (Sg.size graph);
   Stats.merge ~into:stats (Solver.stats solver);

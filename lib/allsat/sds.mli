@@ -6,7 +6,9 @@
 
     + {b Three-valued simulation} of the constraint cone decides the whole
       subtree when the objective is already forced to 0 or 1 — forced-1
-      subtrees contribute a full don't-care subcube in O(1).
+      subtrees contribute a full don't-care subcube in O(1). It runs on
+      an undo trail ({!Ps_circuit.Sim.Trail}): each decision propagates
+      through its fanout only and is reset on backtrack.
     + {b Success-driven learning}: the ternary value vector of the cone is
       the node's {e signature}; since the residual solution set is a
       function of the signature alone, a signature seen before (at the
@@ -15,7 +17,10 @@
       solution {e graph}.
     + A {b CDCL oracle} call (under the prefix as assumptions) refutes
       unsatisfiable subtrees immediately; its learnt clauses persist, so
-      successive probes get cheaper.
+      successive probes get cheaper. A probe whose prefix holds in the
+      model of a Sat probe still on the DFS path is answered Sat from
+      that model without a solver call (the search adds no clause, so
+      the model still satisfies the formula).
 
     The result is the hash-consed {!Solution_graph} of all projected
     solutions, delivered as the unified {!Run.t}. *)
@@ -60,8 +65,9 @@ val default_config : config
 
 (** Deprecated alias for {!Run.t}, the unified engine result. The
     graph's stats carry ["search_nodes"], ["memo_hits"],
-    ["ternary_decides"], ["sat_calls"], ["unsat_prunes"],
-    ["graph_nodes"] plus the solver counters. *)
+    ["ternary_decides"], ["sat_calls"] (real solver calls),
+    ["model_hits"] (probes answered from a path model),
+    ["unsat_prunes"], ["graph_nodes"] plus the solver counters. *)
 type result = Run.t
 [@@ocaml.deprecated "use Ps_allsat.Run.t"]
 
@@ -69,10 +75,15 @@ type result = Run.t
     assignments of [proj_nets] (in the given order) that extend to an
     assignment of the remaining inputs making net [root] true.
 
+    Every net of [proj_nets] must be a distinct input or latch output
+    of [netlist]; raises [Invalid_argument] otherwise.
+
     [solver] must already contain the Tseitin encoding of (at least) the
     cone of [root] with net-as-variable mapping ({!Ps_circuit.Tseitin}),
     plus the unit clause asserting [root]. The solver accumulates learnt
-    clauses but no blocking clauses; it remains reusable afterwards.
+    clauses but no blocking clauses; it remains reusable afterwards, and
+    clauses may be added to it between searches (no model is carried
+    from one search to the next).
 
     [limit] caps the number of {e committed disjoint cubes} (solution
     graph paths) — the same semantics as the blocking engines' cube

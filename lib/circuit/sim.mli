@@ -14,10 +14,35 @@ val eval : Netlist.t -> env:bool array -> bool array
 (** [eval3 n ~env] is the 3-valued analogue; leaves may be [Gate.X]. *)
 val eval3 : Netlist.t -> env:Gate.tri array -> Gate.tri array
 
-(** [eval3_into n ~env ~values] is {!eval3} writing into the caller's
-    [values] array (leaf entries are copied from [env] first) — the
-    allocation-free form used in the searcher's inner loop. *)
-val eval3_into : Netlist.t -> env:Gate.tri array -> values:Gate.tri array -> unit
+(** Event-driven ternary simulation on an undo trail: the success-driven
+    searcher's per-node simulator. Leaves are decided one at a time and
+    each decision is propagated through its fanout only; since ternary
+    simulation is monotone, a decision only turns X nets into 0/1, and
+    undoing it resets exactly those nets to X. *)
+module Trail : sig
+  type t
+
+  (** [create n ~env] evaluates [env] as {!eval3} does (one full pass)
+      and starts an empty trail over the result. *)
+  val create : Netlist.t -> env:Gate.tri array -> t
+
+  (** [values t] is the live value array: at every moment it equals
+      [eval3 n ~env] of the creation environment extended with the
+      decisions made since. Callers must not write to it. *)
+  val values : t -> Gate.tri array
+
+  (** [assign t net b] decides the X-valued input or latch output [net]
+      to [b] and propagates the decision. Raises [Invalid_argument] if
+      [net] is a gate or is not X. *)
+  val assign : t -> int -> bool -> unit
+
+  (** [mark t] names the current point of the trail, for {!undo}. *)
+  val mark : t -> int
+
+  (** [undo t m] withdraws every decision made since [mark t] returned
+      [m]. Raises [Invalid_argument] if [m] is not a live mark. *)
+  val undo : t -> int -> unit
+end
 
 (** [step n ~inputs ~state] runs one clock cycle: evaluates the
     combinational logic under [inputs] (indexed like {!Netlist.inputs})

@@ -29,7 +29,7 @@ type t = {
   mutable level : int array;             (* per var *)
   mutable reason : int array;            (* per var; cref_undef = none *)
   mutable phase : bool array;            (* per var, saved polarity *)
-  activity : float array ref;            (* per var; the VSIDS heap closes over the ref *)
+  activity : float array ref;            (* per var; the VSIDS heap reads through the ref *)
   mutable seen : bool array;             (* per var, scratch for analyze *)
   mutable trail : int array;             (* assigned literals in order *)
   mutable n_trail : int;
@@ -95,7 +95,7 @@ let create () =
     n_trail = 0;
     trail_lim = Vec.create ~dummy:(-1);
     qhead = 0;
-    order = Iheap.create ~score:(fun v -> !activity.(v));
+    order = Iheap.create ~score:activity;
     var_inc = 1.0;
     cla_inc = 1.0;
     ok = true;

@@ -1,69 +1,96 @@
+(* Monomorphic storage and hole-moving percolation: the element being
+   placed is held aside while parents (or children) slide into the hole,
+   so each level costs one score comparison and one write, and every
+   score is read straight out of a float array (no closure, no boxing).
+   The comparisons made are exactly those of a swap-based heap, so the
+   pop order, ties included, is the same. *)
 type t = {
-  heap : int Vec.t;            (* heap.(i) = element at heap position i *)
-  pos : int Vec.t;             (* pos.(x) = position of x in heap, -1 if absent *)
-  score : int -> float;
+  mutable heap : int array;  (* heap.(i) = element at heap position i *)
+  mutable size : int;
+  mutable pos : int array;   (* pos.(x) = position of x in heap, -1 if absent *)
+  score : float array ref;
 }
 
-let create ~score = { heap = Vec.create ~dummy:(-1); pos = Vec.create ~dummy:(-1); score }
+let create ~score = { heap = [||]; size = 0; pos = [||]; score }
 
-let size h = Vec.size h.heap
+let size h = h.size
 
-let is_empty h = size h = 0
+let is_empty h = h.size = 0
 
-let mem h x = x < Vec.size h.pos && Vec.get h.pos x >= 0
+let mem h x = x < Array.length h.pos && h.pos.(x) >= 0
 
-let lt h a b = h.score a > h.score b (* max-heap: "less" = closer to root *)
+(* Place [x] at hole [i] or above it. *)
+let percolate_up h x i =
+  let score = !(h.score) in
+  let s = score.(x) in
+  let i = ref i in
+  while !i > 0 && s > score.(h.heap.((!i - 1) / 2)) do
+    let parent = (!i - 1) / 2 in
+    let p = h.heap.(parent) in
+    h.heap.(!i) <- p;
+    h.pos.(p) <- !i;
+    i := parent
+  done;
+  h.heap.(!i) <- x;
+  h.pos.(x) <- !i
 
-let swap h i j =
-  let a = Vec.get h.heap i and b = Vec.get h.heap j in
-  Vec.set h.heap i b;
-  Vec.set h.heap j a;
-  Vec.set h.pos a j;
-  Vec.set h.pos b i
-
-let rec percolate_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if lt h (Vec.get h.heap i) (Vec.get h.heap parent) then begin
-      swap h i parent;
-      percolate_up h parent
+(* Place [x] at hole [i] or below it. A child moves up only when its
+   score is strictly greater than [x]'s; between equal children the left
+   one wins. *)
+let percolate_down h x i =
+  let score = !(h.score) in
+  let s = score.(x) in
+  let n = h.size in
+  let i = ref i in
+  let continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    if l >= n then continue := false
+    else begin
+      let r = l + 1 in
+      let c =
+        if r < n && score.(h.heap.(r)) > score.(h.heap.(l)) then r else l
+      in
+      let y = h.heap.(c) in
+      if score.(y) > s then begin
+        h.heap.(!i) <- y;
+        h.pos.(y) <- !i;
+        i := c
+      end
+      else continue := false
     end
-  end
+  done;
+  h.heap.(!i) <- x;
+  h.pos.(x) <- !i
 
-let rec percolate_down h i =
-  let n = size h in
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = ref i in
-  if l < n && lt h (Vec.get h.heap l) (Vec.get h.heap !best) then best := l;
-  if r < n && lt h (Vec.get h.heap r) (Vec.get h.heap !best) then best := r;
-  if !best <> i then begin
-    swap h i !best;
-    percolate_down h !best
-  end
+let grow a n fill =
+  let a' = Array.make (max n (2 * Array.length a)) fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
 
 let insert h x =
   if not (mem h x) then begin
-    Vec.grow_to h.pos (x + 1) (-1);
-    Vec.set h.pos x (size h);
-    Vec.push h.heap x;
-    percolate_up h (size h - 1)
+    if x >= Array.length h.pos then h.pos <- grow h.pos (x + 1) (-1);
+    if h.size = Array.length h.heap then h.heap <- grow h.heap (h.size + 1) (-1);
+    h.size <- h.size + 1;
+    percolate_up h x (h.size - 1)
   end
 
 let remove_max h =
   if is_empty h then raise Not_found;
-  let top = Vec.get h.heap 0 in
-  let n = size h in
-  swap h 0 (n - 1);
-  ignore (Vec.pop h.heap);
-  Vec.set h.pos top (-1);
-  if size h > 0 then percolate_down h 0;
+  let top = h.heap.(0) in
+  h.size <- h.size - 1;
+  h.pos.(top) <- -1;
+  if h.size > 0 then percolate_down h h.heap.(h.size) 0;
   top
 
-let decrease h x = if mem h x then percolate_up h (Vec.get h.pos x)
+let decrease h x = if mem h x then percolate_up h x h.pos.(x)
 
 let clear h =
-  Vec.iter (fun x -> Vec.set h.pos x (-1)) h.heap;
-  Vec.clear h.heap
+  for i = 0 to h.size - 1 do
+    h.pos.(h.heap.(i)) <- -1
+  done;
+  h.size <- 0
 
 let rebuild h xs =
   clear h;

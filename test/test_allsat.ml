@@ -461,6 +461,64 @@ let test_sds_graph_is_reduced () =
   Alcotest.(check (float 0.0)) "single solution" 1.0 (Sg.count_models (Option.get r.A.Run.graph));
   check_int "chain graph" 8 (Sg.size (Option.get r.A.Run.graph))
 
+(* root = OR_i (x_i AND y_i) over projected x0..x3 and free y0..y3. *)
+let pairs_netlist () =
+  let b = Ps_circuit.Builder.create () in
+  let xs = List.init 4 (fun i -> Ps_circuit.Builder.input b (Printf.sprintf "x%d" i)) in
+  let ys = List.init 4 (fun i -> Ps_circuit.Builder.input b (Printf.sprintf "y%d" i)) in
+  let ands = List.map2 (fun x y -> Ps_circuit.Builder.and_ b [ x; y ]) xs ys in
+  let root = Ps_circuit.Builder.or_ b ands in
+  Ps_circuit.Builder.output b root;
+  (Ps_circuit.Builder.finalize b, root, Array.of_list xs, ys, ands)
+
+let test_sds_rejects_gate_projection () =
+  let n, root, xs, _, ands = pairs_netlist () in
+  let s = Solver.create () in
+  ignore (Solver.load s (Ts.encode n));
+  ignore (Solver.add_clause s [ Lit.pos root ]);
+  let proj_nets = Array.append xs [| List.hd ands |] in
+  Alcotest.check_raises "gate net"
+    (Invalid_argument "Sds.search: projection net is not an input or a latch")
+    (fun () -> ignore (A.Sds.search ~netlist:n ~root ~proj_nets ~solver:s ()));
+  Alcotest.check_raises "duplicate net"
+    (Invalid_argument "Sds.search: duplicate projection net") (fun () ->
+      ignore
+        (A.Sds.search ~netlist:n ~root ~proj_nets:(Array.append xs [| xs.(0) |])
+           ~solver:s ()))
+
+let test_sds_model_cache_per_search () =
+  (* Two searches on one solver, with a clause added in between that
+     rules out the models the first one found for x = 1000 (only y0 = 1
+     completes it). Models kept from the first search would answer the
+     second one's probes wrongly; the second graph must count the
+     restricted formula exactly. *)
+  let n, root, xs, ys, _ = pairs_netlist () in
+  let cnf = Ts.encode n in
+  let s = Solver.create () in
+  ignore (Solver.load s cnf);
+  ignore (Solver.add_clause s [ Lit.pos root ]);
+  let count r = Sg.count_models (Option.get r.A.Run.graph) in
+  let first = A.Sds.search ~netlist:n ~root ~proj_nets:xs ~solver:s () in
+  Alcotest.(check (float 0.0)) "first run: x <> 0" 15.0 (count first);
+  let y0 = List.hd ys in
+  ignore (Solver.add_clause s [ Lit.neg y0 ]);
+  let second = A.Sds.search ~netlist:n ~root ~proj_nets:xs ~solver:s () in
+  let nvars = N.num_nets n in
+  let m = B.new_man ~nvars in
+  let clause c = Array.to_list (Array.map (fun l -> (Lit.var l, Lit.sign l)) c) in
+  let f =
+    B.of_cnf m
+      ([ (root, true) ] :: [ (y0, false) ] :: List.map clause cnf.Ps_sat.Cnf.clauses)
+  in
+  let hidden = List.filter (fun v -> not (Array.mem v xs)) (List.init nvars Fun.id) in
+  let expected =
+    B.count_models ~nvars (B.exists hidden f) /. (2.0 ** float_of_int (List.length hidden))
+  in
+  Alcotest.(check (float 0.0)) "restricted BDD count" 14.0 expected;
+  Alcotest.(check (float 0.0)) "second run = restricted formula" expected (count second);
+  check_bool "first run answered probes from path models" true
+    (Ps_util.Stats.get first.A.Run.stats "model_hits" > 0)
+
 let () =
   Alcotest.run "ps_allsat"
     [
@@ -497,5 +555,9 @@ let () =
           Alcotest.test_case "success-driven learning effective" `Quick
             test_sds_success_learning_effective;
           Alcotest.test_case "graph reduction" `Quick test_sds_graph_is_reduced;
+          Alcotest.test_case "gate or duplicate projection net rejected" `Quick
+            test_sds_rejects_gate_projection;
+          Alcotest.test_case "model cache lives for one search" `Quick
+            test_sds_model_cache_per_search;
         ] );
     ]

@@ -340,6 +340,78 @@ let sim3_agrees_with_sim =
             v3);
       !ok)
 
+(* A topological three-valued pass built on [Gate.eval3], independent
+   of [Sim]'s own gate evaluator: the reference for [Sim.eval3] and the
+   trail alike. *)
+let eval3_reference n ~env =
+  let values = Array.copy env in
+  Array.iter
+    (fun g ->
+      match N.driver n g with
+      | N.Gate (kind, fanins) ->
+        values.(g) <- G.eval3 kind (Array.map (fun f -> values.(f)) fanins)
+      | N.Input | N.Latch _ -> assert false)
+    (N.topo_gates n);
+  values
+
+let trail_tracks_eval3 =
+  Helpers.qtest "trail values = eval3 after every assign / retract" ~count:200
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = R.create ~seed in
+      let n =
+        Helpers.random_seq rng ~nin:(1 + R.int rng 4) ~nlatches:(1 + R.int rng 4)
+          ~ngates:(1 + R.int rng 25)
+      in
+      let leaves = Array.of_list (N.inputs n @ N.latches n) in
+      let random_tri () =
+        match R.int rng 3 with 0 -> G.F | 1 -> G.T | _ -> G.X
+      in
+      let env = Array.make (N.num_nets n) G.X in
+      Array.iter (fun l -> if R.int rng 4 = 0 then env.(l) <- random_tri ()) leaves;
+      let tr = Sim.Trail.create n ~env in
+      let agrees () =
+        let v = Sim.Trail.values tr in
+        v = Sim.eval3 n ~env && v = eval3_reference n ~env
+      in
+      (* the decisions made so far, innermost first, with their marks *)
+      let stack = ref [] in
+      let ok = ref (agrees ()) in
+      for _ = 1 to 40 do
+        let free = List.filter (fun l -> env.(l) = G.X) (Array.to_list leaves) in
+        if free <> [] && (!stack = [] || R.int rng 3 > 0) then begin
+          let l = R.pick rng free and b = R.bool rng in
+          stack := (l, Sim.Trail.mark tr) :: !stack;
+          Sim.Trail.assign tr l b;
+          env.(l) <- G.tri_of_bool b
+        end
+        else begin
+          match !stack with
+          | (l, m) :: rest ->
+            Sim.Trail.undo tr m;
+            env.(l) <- G.X;
+            stack := rest
+          | [] -> ()
+        end;
+        if not (agrees ()) then ok := false
+      done;
+      !ok)
+
+let test_trail_rejects () =
+  let n = Ps_gen.Counters.binary ~bits:2 () in
+  let en = List.hd (N.inputs n) in
+  let gate = (N.topo_gates n).(0) in
+  let tr = Sim.Trail.create n ~env:(Array.make (N.num_nets n) G.X) in
+  Alcotest.check_raises "gate net"
+    (Invalid_argument "Sim.Trail.assign: not an input or latch") (fun () ->
+      Sim.Trail.assign tr gate true);
+  Sim.Trail.assign tr en true;
+  Alcotest.check_raises "decided net"
+    (Invalid_argument "Sim.Trail.assign: net already decided") (fun () ->
+      Sim.Trail.assign tr en false);
+  Alcotest.check_raises "stale mark" (Invalid_argument "Sim.Trail.undo: bad mark")
+    (fun () -> Sim.Trail.undo tr 5)
+
 (* --- Tseitin ------------------------------------------------------------------- *)
 
 let tseitin_models_are_simulations =
@@ -472,6 +544,8 @@ let () =
           Alcotest.test_case "run" `Quick test_sim_run;
           Alcotest.test_case "ternary X propagation" `Quick test_sim3_x_propagation;
           sim3_agrees_with_sim;
+          trail_tracks_eval3;
+          Alcotest.test_case "trail rejects" `Quick test_trail_rejects;
         ] );
       ( "tseitin",
         [

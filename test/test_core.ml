@@ -162,6 +162,9 @@ let test_sds_stats_shape () =
   let r = E.run E.Sds inst in
   let get k = Ps_util.Stats.get (E.stats r) k in
   check_bool "search nodes" true (get "search_nodes" > 0);
+  check_bool "probes answered from path models" true (get "model_hits" > 0);
+  check_bool "fewer solver calls than nodes" true
+    (get "sat_calls" < get "search_nodes");
   check_bool "graph nodes recorded" true (get "graph_nodes" > 0);
   check_bool "graph present" true (E.graph r <> None);
   check_bool "graph nodes consistent" true

@@ -89,27 +89,29 @@ let vec_push_pop_stack =
 
 let test_iheap_order () =
   let scores = [| 5.0; 1.0; 9.0; 3.0; 7.0 |] in
-  let h = Iheap.create ~score:(fun i -> scores.(i)) in
+  let h = Iheap.create ~score:(ref scores) in
   List.iter (Iheap.insert h) [ 0; 1; 2; 3; 4 ];
   check "size" 5 (Iheap.size h);
   let order = List.init 5 (fun _ -> Iheap.remove_max h) in
   Alcotest.(check (list int)) "descending score order" [ 2; 4; 0; 3; 1 ] order;
   check_bool "empty after" true (Iheap.is_empty h)
 
+let ints n = ref (Array.init n float_of_int)
+
 let test_iheap_mem_dup () =
-  let h = Iheap.create ~score:float_of_int in
+  let h = Iheap.create ~score:(ints 8) in
   Iheap.insert h 3;
   Iheap.insert h 3;
   check "no duplicates" 1 (Iheap.size h);
   check_bool "mem" true (Iheap.mem h 3);
   check_bool "not mem" false (Iheap.mem h 5);
   Alcotest.check_raises "remove_max empty" Not_found (fun () ->
-      let h = Iheap.create ~score:float_of_int in
+      let h = Iheap.create ~score:(ints 8) in
       ignore (Iheap.remove_max h))
 
 let test_iheap_decrease () =
   let scores = Array.make 4 0.0 in
-  let h = Iheap.create ~score:(fun i -> scores.(i)) in
+  let h = Iheap.create ~score:(ref scores) in
   List.iter (Iheap.insert h) [ 0; 1; 2; 3 ];
   scores.(2) <- 10.0;
   Iheap.decrease h 2;
@@ -119,7 +121,7 @@ let test_iheap_decrease () =
   check "size unchanged" 3 (Iheap.size h)
 
 let test_iheap_rebuild () =
-  let h = Iheap.create ~score:float_of_int in
+  let h = Iheap.create ~score:(ints 8) in
   List.iter (Iheap.insert h) [ 1; 2; 3 ];
   Iheap.rebuild h [ 5; 6 ];
   check "rebuilt size" 2 (Iheap.size h);
@@ -131,11 +133,122 @@ let iheap_sorts =
     QCheck.(list_of_size (QCheck.Gen.int_range 1 40) (int_bound 1000))
     (fun l ->
       let scores = Array.of_list (List.map float_of_int l) in
-      let h = Iheap.create ~score:(fun i -> scores.(i)) in
+      let h = Iheap.create ~score:(ref scores) in
       List.iteri (fun i _ -> Iheap.insert h i) l;
       let out = List.init (Array.length scores) (fun _ -> Iheap.remove_max h) in
       let got = List.map (fun i -> scores.(i)) out in
       got = List.sort (fun a b -> compare b a) (Array.to_list scores))
+
+(* A closure-scored, swap-based heap: the reference the array-scored
+   heap must match pop for pop, ties included, since the VSIDS order
+   decides every search. *)
+module Ref_heap = struct
+  type t = { heap : int Vec.t; pos : int Vec.t; score : int -> float }
+
+  let create ~score = { heap = Vec.create ~dummy:(-1); pos = Vec.create ~dummy:(-1); score }
+  let size h = Vec.size h.heap
+  let mem h x = x < Vec.size h.pos && Vec.get h.pos x >= 0
+  let lt h a b = h.score a > h.score b
+
+  let swap h i j =
+    let a = Vec.get h.heap i and b = Vec.get h.heap j in
+    Vec.set h.heap i b;
+    Vec.set h.heap j a;
+    Vec.set h.pos a j;
+    Vec.set h.pos b i
+
+  let rec up h i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if lt h (Vec.get h.heap i) (Vec.get h.heap parent) then begin
+        swap h i parent;
+        up h parent
+      end
+    end
+
+  let rec down h i =
+    let n = size h in
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let best = ref i in
+    if l < n && lt h (Vec.get h.heap l) (Vec.get h.heap !best) then best := l;
+    if r < n && lt h (Vec.get h.heap r) (Vec.get h.heap !best) then best := r;
+    if !best <> i then begin
+      swap h i !best;
+      down h !best
+    end
+
+  let insert h x =
+    if not (mem h x) then begin
+      Vec.grow_to h.pos (x + 1) (-1);
+      Vec.set h.pos x (size h);
+      Vec.push h.heap x;
+      up h (size h - 1)
+    end
+
+  let remove_max h =
+    if size h = 0 then raise Not_found;
+    let top = Vec.get h.heap 0 in
+    swap h 0 (size h - 1);
+    ignore (Vec.pop h.heap);
+    Vec.set h.pos top (-1);
+    if size h > 0 then down h 0;
+    top
+
+  let decrease h x = if mem h x then up h (Vec.get h.pos x)
+end
+
+type heap_op = Insert of int | Bump of int * int | Pop | Grow
+
+let iheap_matches_reference =
+  let n0 = 12 in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun x -> Insert x) (int_bound (n0 - 1)));
+          (3, map2 (fun x d -> Bump (x, d)) (int_bound (n0 - 1)) (int_bound 3));
+          (3, return Pop);
+          (1, return Grow);
+        ])
+  in
+  let print = function
+    | Insert x -> Printf.sprintf "Insert %d" x
+    | Bump (x, d) -> Printf.sprintf "Bump (%d, %d)" x d
+    | Pop -> "Pop"
+    | Grow -> "Grow"
+  in
+  Helpers.qtest "iheap pops = closure-scored swap heap, ties included" ~count:500
+    QCheck.(make ~print:(Print.list print) Gen.(list_size (int_range 1 120) op))
+    (fun ops ->
+      (* small integer scores: ties are the common case *)
+      let score = ref (Array.make n0 0.0) in
+      let h = Iheap.create ~score in
+      let r = Ref_heap.create ~score:(fun x -> !score.(x)) in
+      let pop_both () =
+        let a = try Some (Iheap.remove_max h) with Not_found -> None in
+        let b = try Some (Ref_heap.remove_max r) with Not_found -> None in
+        a = b
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Insert x ->
+            Iheap.insert h x;
+            Ref_heap.insert r x;
+            true
+          | Bump (x, d) ->
+            !score.(x) <- !score.(x) +. float_of_int d;
+            Iheap.decrease h x;
+            Ref_heap.decrease r x;
+            true
+          | Pop -> pop_both ()
+          | Grow ->
+            (* the solver replaces the array when it adds variables *)
+            score := Array.append !score [||];
+            true)
+          && Iheap.size h = Ref_heap.size r)
+        ops
+      && List.for_all (fun _ -> pop_both ()) (List.init (n0 + 1) Fun.id))
 
 (* --- Luby -------------------------------------------------------------- *)
 
@@ -244,6 +357,7 @@ let () =
           Alcotest.test_case "decrease" `Quick test_iheap_decrease;
           Alcotest.test_case "rebuild" `Quick test_iheap_rebuild;
           iheap_sorts;
+          iheap_matches_reference;
         ] );
       ( "luby",
         [
