@@ -579,8 +579,8 @@ let record_smoke ?(jobs = 1) ?(speedup = 1.0) ~workload ~engine ~time_s
     :: !smoke_rows
 
 (* Reachability rows live in their own JSON array: the interesting
-   quantities (frames/s, learnt retention across frames, retired groups)
-   do not fit the per-engine smoke shape. *)
+   quantities (frames/s, learnt retention across frames) do not fit the
+   per-engine smoke shape. *)
 type reach_row = {
   rr_workload : string;
   rr_mode : string;            (* "baseline" | "incremental" *)
@@ -588,8 +588,7 @@ type reach_row = {
   rr_total_states : float;
   rr_time_s : float;
   rr_speedup : float;          (* this row's frames/s over baseline's; 1.0 for baseline *)
-  rr_learnts_kept : int;
-  rr_groups_retired : int;
+  rr_learnts_carried : int;    (* learnt clauses alive when the last frame began *)
   rr_agree : bool;             (* reached/fixpoint identical to baseline *)
 }
 
@@ -651,10 +650,10 @@ let write_json_summary path =
       in
       let reach_row r =
         Printf.sprintf
-          {|    {"workload":"%s","mode":"%s","frames":%d,"total_states":%g,"time_s":%.6f,"frames_per_sec":%.1f,"speedup":%.3f,"learnts_kept":%d,"groups_retired":%d,"agree":%b}|}
+          {|    {"workload":"%s","mode":"%s","frames":%d,"total_states":%g,"time_s":%.6f,"frames_per_sec":%.1f,"speedup":%.3f,"learnts_carried":%d,"agree":%b}|}
           r.rr_workload r.rr_mode r.rr_frames r.rr_total_states r.rr_time_s
           (frames_per_sec r.rr_frames r.rr_time_s)
-          r.rr_speedup r.rr_learnts_kept r.rr_groups_retired r.rr_agree
+          r.rr_speedup r.rr_learnts_carried r.rr_agree
       in
       let persist_row r =
         Printf.sprintf
@@ -676,7 +675,7 @@ let write_json_summary path =
           r.pa_complete r.pa_agree
       in
       Printf.fprintf oc
-        "{\n  \"schema\": \"preimage-bench-smoke/5\",\n  \"recommended_domains\": %d,\n  \"rows\": [\n"
+        "{\n  \"schema\": \"preimage-bench-smoke/6\",\n  \"recommended_domains\": %d,\n  \"rows\": [\n"
         (Domain.recommended_domain_count ());
       output_string oc
         (String.concat ",\n" (List.rev_map row !smoke_rows));
@@ -866,8 +865,8 @@ let parallel_exp () =
 (* The reachability fixpoint is the paper's headline application; this
    experiment measures what the incremental session buys: frames/s
    against the rebuild-per-frame baseline, and how much learnt knowledge
-   survives the frame boundaries ([learnts_kept], summed at each group
-   retirement). Both runs must agree on frames / states / fixpoint — the
+   survives the frame boundaries ([learnts_carried]: the learnt clauses
+   alive when the last frame began). Both runs must agree on frames / states / fixpoint — the
    full set-equality check lives in the differential test suite. *)
 let reach_exp () =
   let max_steps = 48 in
@@ -894,11 +893,10 @@ let reach_exp () =
         let fps_b = frames_per_sec frames_b base.Rh.time_s in
         let fps_i = frames_per_sec frames_i inc.Preimage.Reach_inc.time_s in
         let speedup = if fps_b > 0.0 then fps_i /. fps_b else 1.0 in
-        let learnts_kept =
-          Stats.get inc.Preimage.Reach_inc.solver_stats "learnts_kept"
-        in
-        let groups_retired =
-          Stats.get inc.Preimage.Reach_inc.solver_stats "groups_retired"
+        let learnts_carried =
+          match List.rev inc.Preimage.Reach_inc.frames with
+          | last :: _ -> last.Preimage.Reach_inc.learnts_start
+          | [] -> 0
         in
         reach_rows :=
           {
@@ -908,8 +906,7 @@ let reach_exp () =
             rr_total_states = inc.Preimage.Reach_inc.total_states;
             rr_time_s = inc.Preimage.Reach_inc.time_s;
             rr_speedup = speedup;
-            rr_learnts_kept = learnts_kept;
-            rr_groups_retired = groups_retired;
+            rr_learnts_carried = learnts_carried;
             rr_agree = agree;
           }
           :: {
@@ -919,8 +916,7 @@ let reach_exp () =
                rr_total_states = base.Rh.total_states;
                rr_time_s = base.Rh.time_s;
                rr_speedup = 1.0;
-               rr_learnts_kept = 0;
-               rr_groups_retired = 0;
+               rr_learnts_carried = 0;
                rr_agree = true;
              }
           :: !reach_rows;
@@ -932,15 +928,14 @@ let reach_exp () =
           Printf.sprintf "%.0f" fps_b;
           Printf.sprintf "%.0f" fps_i;
           f2 speedup;
-          string_of_int learnts_kept;
-          string_of_int groups_retired;
+          string_of_int learnts_carried;
           (if agree then "yes" else "NO");
         ])
       entries
   in
   print_table "Reach: incremental session vs rebuild-per-frame baseline"
     [ "workload"; "frames"; "base_ms"; "inc_ms"; "base_f/s"; "inc_f/s";
-      "speedup"; "learnts_kept"; "groups_retired"; "agree" ]
+      "speedup"; "learnts_carried"; "agree" ]
     rows
 
 (* --- persist: durable-store overhead and resume payoff ----------------------- *)

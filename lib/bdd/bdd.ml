@@ -287,10 +287,20 @@ let compose f subst =
   in
   go f
 
+(* Built bottom-up, deepest variable first, so each literal costs one
+   [mk]. A variable constrained twice keeps the node when the values agree
+   and gives zero when they clash, as the conjunction would. *)
 let cube m lits =
+  List.iter (fun (v, _) -> check_var m v) lits;
   List.fold_left
-    (fun acc (v, value) -> band acc (if value then var m v else nvar m v))
-    m.one_n lits
+    (fun acc (v, value) ->
+      if is_zero acc then acc
+      else if acc.level = v then
+        if is_zero (if value then acc.low else acc.high) then acc else m.zero_n
+      else if value then mk m v m.zero_n acc
+      else mk m v acc m.zero_n)
+    m.one_n
+    (List.stable_sort (fun (a, _) (b, _) -> compare b a) lits)
 
 let size f =
   let seen = Hashtbl.create 64 in
@@ -332,15 +342,13 @@ let count_models ~nvars f =
       match Hashtbl.find_opt cache f.id with
       | Some c -> c
       | None ->
-        let branch child =
-          go child *. (2.0 ** float_of_int (level_of child - f.level - 1))
-        in
+        let branch child = Float.ldexp (go child) (level_of child - f.level - 1) in
         let c = branch f.low +. branch f.high in
         Hashtbl.add cache f.id c;
         c
     end
   in
-  go f *. (2.0 ** float_of_int (level_of f))
+  Float.ldexp (go f) (level_of f)
 
 let iter_cubes f ~nvars k =
   if nvars < f.man.nvars then invalid_arg "Bdd.iter_cubes: nvars too small";

@@ -9,7 +9,7 @@
 (** The per-step preimage method. [E_incremental] is different in kind:
     instead of rebuilding the transition CNF and a fresh solver at every
     frame, it drives a persistent {!Reach_inc} session (one CNF, one
-    solver, retractable per-frame constraint groups, learnt clauses
+    solver, frontier cubes posed as assumptions, learnt clauses
     surviving frame to frame). Its results are bit-identical to the
     rebuild-per-frame engines'. *)
 type engine = E_sds | E_sds_dynamic | E_blocking_lift | E_bdd | E_incremental

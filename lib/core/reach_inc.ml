@@ -5,7 +5,6 @@ module T = Ps_circuit.Transition
 module Tseitin = Ps_circuit.Tseitin
 module Solver = Ps_sat.Solver
 module Lit = Ps_sat.Lit
-module Stats = Ps_util.Stats
 module Trace = Ps_util.Trace
 module Ss = Session_store
 
@@ -30,7 +29,6 @@ type result = {
   man : B.man;
   layers : B.t list;
   time_s : float;
-  solver_stats : Stats.t;
 }
 
 type t = {
@@ -44,6 +42,7 @@ type t = {
   mutable layers : B.t list;   (* reverse order *)
   mutable frames : frame list; (* reverse order *)
   mutable index : int;
+  mutable total_states : float; (* |reached| *)
   trace : Trace.sink;
   store : Ps_store.Store.writer option;
   t_start : float;
@@ -86,6 +85,7 @@ let create ?(trace = Trace.null) ?store ?resume circuit target =
       layers = [ reached ];
       frames = [];
       index = 0;
+      total_states = B.count_models ~nvars:nstate reached;
       trace;
       store;
       t_start = Unix.gettimeofday ();
@@ -101,8 +101,8 @@ let create ?(trace = Trace.null) ?store ?resume circuit target =
       ~ints:[ ("frontier_cubes", List.length target_cubes) ]
       ~floats:
         [
-          ("frontier_states", B.count_models ~nvars:nstate reached);
-          ("total_states", B.count_models ~nvars:nstate reached);
+          ("frontier_states", t.total_states);
+          ("total_states", t.total_states);
           ("time_s", 0.0);
         ]
   | Some r ->
@@ -137,39 +137,39 @@ let create ?(trace = Trace.null) ?store ?resume circuit target =
             }
             :: t.frames
         end)
-      frames);
+      frames;
+    t.total_states <- B.count_models ~nvars:nstate t.reached);
   t
 
 let fixpoint_reached t = B.is_zero t.frontier
 
 let solver t = t.solver
 
-(* Post this frame's frontier constraint — "the next state lies in the
-   frontier" — as a retractable clause group: a DNF-selector encoding of
-   the frontier cubes over the next-state nets, all guarded by the group's
-   activation literal. A single cube needs no selectors (its literals go
-   in directly); [k > 1] cubes get one auxiliary selector each plus the
-   one-of disjunction. *)
-let post_frontier_group t frontier_cubes =
-  let g = Solver.new_group t.solver in
-  let lits_of_cube c =
-    List.map (fun (pos, v) -> Lit.make t.tr.T.next_nets.(pos) v) (Cube.to_list c)
+(* Enumerate the fresh states of one frontier cube: minterm blocking
+   all-SAT over the state variables under the cube's next-state literals
+   as assumptions. Every model is a state of Pre(cube) \ reached (the
+   permanent blocking clauses exclude the reached set and every state
+   found so far), blocked at once; the next solve resumes from the
+   blocking clause's assertion level. [on_state] sees each state once. *)
+let sweep t cube ~on_state =
+  let assumptions =
+    List.map (fun (pos, v) -> Lit.make t.tr.T.next_nets.(pos) v) (Cube.to_list cube)
   in
-  (match frontier_cubes with
-  | [ c ] -> List.iter (fun l -> ignore (Solver.add_grouped t.solver g [ l ])) (lits_of_cube c)
-  | cubes ->
-    let selectors =
-      List.map
-        (fun c ->
-          let a = Solver.new_var t.solver in
-          List.iter
-            (fun l -> ignore (Solver.add_grouped t.solver g [ Lit.neg a; l ]))
-            (lits_of_cube c);
-          Lit.pos a)
-        cubes
-    in
-    ignore (Solver.add_grouped t.solver g selectors));
-  g
+  let calls = ref 0 in
+  let exhausted = ref false in
+  while not !exhausted do
+    incr calls;
+    match Solver.solve ~assumptions ~trace:t.trace t.solver with
+    | Solver.Unsat -> exhausted := true
+    | Solver.Unknown -> assert false (* unbudgeted solve *)
+    | Solver.Sat ->
+      let bits =
+        Array.map (fun net -> Solver.model_value t.solver net) t.tr.T.state_nets
+      in
+      on_state bits;
+      block_state_cube t (Cube.of_assignment bits)
+  done;
+  !calls
 
 let frame t =
   if fixpoint_reached t then false
@@ -178,7 +178,7 @@ let frame t =
     let t0 = Unix.gettimeofday () in
     let frontier_cubes = Ss.cubes_of_bdd t.frontier ~width:t.nstate in
     let learnts_start = Solver.n_learnts t.solver in
-    let conflicts0 = Stats.get (Solver.stats t.solver) "conflicts" in
+    let conflicts0 = Solver.n_conflicts t.solver in
     Trace.emit t.trace
       (Trace.Frame_start
          {
@@ -186,54 +186,39 @@ let frame t =
            frontier_cubes = List.length frontier_cubes;
            learnts = learnts_start;
          });
-    let g = post_frontier_group t frontier_cubes in
-    let assumptions = [ Solver.group_lit t.solver g ] in
-    (* Minterm blocking all-SAT over the state variables: every model is
-       a state minterm of Pre(frontier) \ reached (earlier frames'
-       blocking clauses already exclude the reached set), immediately
-       blocked permanently; the next solve resumes from the blocking
-       clause's assertion level. *)
+    (* One sweep per frontier cube. A state in the preimage of two cubes
+       is found by the first sweep and blocked before the second starts,
+       so each fresh state is found exactly once. *)
     let fresh = ref (B.zero t.man) in
-    let sat_calls = ref 0 in
     let new_cubes = ref 0 in
-    let exhausted = ref false in
-    while not !exhausted do
-      incr sat_calls;
-      match Solver.solve ~assumptions ~trace:t.trace t.solver with
-      | Solver.Unsat -> exhausted := true
-      | Solver.Unknown -> assert false (* unbudgeted solve *)
-      | Solver.Sat ->
-        let bits =
-          Array.map
-            (fun net -> Solver.model_value t.solver net)
-            t.tr.T.state_nets
-        in
-        incr new_cubes;
-        fresh :=
-          B.bor !fresh
-            (B.cube t.man (List.init t.nstate (fun i -> (i, bits.(i)))));
-        block_state_cube t (Cube.of_assignment bits)
-    done;
-    Solver.retire_group t.solver g;
-    let conflicts =
-      Stats.get (Solver.stats t.solver) "conflicts" - conflicts0
+    let on_state bits =
+      incr new_cubes;
+      fresh :=
+        B.bor !fresh (B.cube t.man (List.init t.nstate (fun i -> (i, bits.(i)))))
     in
+    let sat_calls =
+      List.fold_left (fun n c -> n + sweep t c ~on_state) 0 frontier_cubes
+    in
+    let conflicts = Solver.n_conflicts t.solver - conflicts0 in
     let fresh = !fresh in
+    let frontier_states = B.count_models ~nvars:t.nstate fresh in
     t.reached <- B.bor t.reached fresh;
     t.layers <- t.reached :: t.layers;
     t.frontier <- fresh;
-    let count f = B.count_models ~nvars:t.nstate f in
+    (* [fresh] is disjoint from the old reached set (every reached state
+       is blocked), so the total is a sum, exact below 2^53. *)
+    t.total_states <- t.total_states +. frontier_states;
     let frame_rec =
       {
         index = t.index;
         frontier_cubes = List.length frontier_cubes;
         new_cubes = !new_cubes;
         blocking_clauses = !new_cubes;
-        sat_calls = !sat_calls;
+        sat_calls;
         conflicts;
         learnts_start;
-        frontier_states = count fresh;
-        total_states = count t.reached;
+        frontier_states;
+        total_states = t.total_states;
         time_s = Unix.gettimeofday () -. t0;
       }
     in
@@ -241,30 +226,31 @@ let frame t =
     (* Frame boundary = durability boundary: the fresh set's canonical
        cubes followed by the frame checkpoint, so a killed session
        resumes exactly here. *)
-    Ss.persist_frame t.store ~frame:t.index
-      ~cubes:(Ss.cubes_of_bdd fresh ~width:t.nstate)
-      ~ints:
-        [
-          ("frontier_cubes", frame_rec.frontier_cubes);
-          ("new_cubes", frame_rec.new_cubes);
-          ("blocking_clauses", frame_rec.blocking_clauses);
-          ("sat_calls", frame_rec.sat_calls);
-          ("conflicts", frame_rec.conflicts);
-          ("learnts_start", frame_rec.learnts_start);
-        ]
-      ~floats:
-        [
-          ("frontier_states", frame_rec.frontier_states);
-          ("total_states", frame_rec.total_states);
-          ("time_s", frame_rec.time_s);
-        ];
+    if Option.is_some t.store then
+      Ss.persist_frame t.store ~frame:t.index
+        ~cubes:(Ss.cubes_of_bdd fresh ~width:t.nstate)
+        ~ints:
+          [
+            ("frontier_cubes", frame_rec.frontier_cubes);
+            ("new_cubes", frame_rec.new_cubes);
+            ("blocking_clauses", frame_rec.blocking_clauses);
+            ("sat_calls", frame_rec.sat_calls);
+            ("conflicts", frame_rec.conflicts);
+            ("learnts_start", frame_rec.learnts_start);
+          ]
+        ~floats:
+          [
+            ("frontier_states", frame_rec.frontier_states);
+            ("total_states", frame_rec.total_states);
+            ("time_s", frame_rec.time_s);
+          ];
     Trace.emit t.trace
       (Trace.Frame_done
          {
            index = t.index;
            new_cubes = !new_cubes;
            blocked = !new_cubes;
-           sat_calls = !sat_calls;
+           sat_calls;
            conflicts;
          });
     true
@@ -274,12 +260,11 @@ let result t =
   {
     frames = List.rev t.frames;
     fixpoint = fixpoint_reached t;
-    total_states = B.count_models ~nvars:t.nstate t.reached;
+    total_states = t.total_states;
     reached = t.reached;
     man = t.man;
     layers = List.rev t.layers;
     time_s = Unix.gettimeofday () -. t.t_start;
-    solver_stats = Solver.stats t.solver;
   }
 
 let run ?(max_steps = 1000) ?trace ?store ?resume circuit target =

@@ -10,24 +10,24 @@
       is encoded {e once} at {!create} into one persistent
       {!Ps_sat.Solver};
     - each frame's frontier constraint ("the next state lies in the
-      current frontier") lives in a retractable {e clause group}
-      ({!Ps_sat.Solver.new_group}): a DNF-selector encoding guarded by a
-      fresh activation literal, assumed during the frame's solve calls
-      and permanently disabled — and arena-reclaimed — when the frame
-      retires;
+      current frontier") is never a clause: the frame runs one
+      {e sweep} per frontier cube, with the cube's next-state literals
+      as the [solve] assumptions, so a frame adds no variable and
+      nothing that would need retracting;
     - states already reached are excluded by {e permanent} blocking
       clauses over the state variables, added only for the states a
       frame discovers (earlier frames' blocks persist, so no frame ever
       re-blocks the accumulated reached set);
-    - learnt clauses survive every frame boundary (the
-      ["learnts_kept"] solver statistic counts them at each group
-      retirement).
+    - learnt clauses survive every frame boundary: they are implied by
+      the transition CNF and the blocking clauses, never by an
+      assumption.
 
-    The per-frame enumeration is minterm blocking all-SAT over the
-    state variables: each model's state minterm is blocked with
-    {!Ps_sat.Solver.block}, and the frame's next solve (under the same
-    activation assumption) continues from the blocking clause's
-    assertion level instead of the root. Each frame emits the
+    A sweep is minterm blocking all-SAT over the state variables: each
+    model's state minterm is blocked with {!Ps_sat.Solver.block} the
+    moment it is found, and the sweep's next solve (under the same
+    assumptions) continues from the blocking clause's assertion level
+    instead of the root. A state in the preimage of two frontier cubes
+    is therefore found by the first sweep only. Each frame emits the
     {e minterms} of [Pre(frontier) \ reached]; the reached set, layers
     and step counts are bit-identical to {!Reach.backward}'s (the
     differential suite checks this on hundreds of random circuits). Use
@@ -37,17 +37,19 @@
 (** Per-frame statistics, in frame order. *)
 type frame = {
   index : int;              (** 1-based frame number *)
-  frontier_cubes : int;     (** cubes handed to this frame's group *)
+  frontier_cubes : int;     (** frontier cubes, one sweep each *)
   new_cubes : int;          (** state minterms discovered (= new states) *)
   blocking_clauses : int;   (** blocking clauses added {e this} frame —
                                 equals [new_cubes]; never grows with the
                                 total reached set *)
-  sat_calls : int;
+  sat_calls : int;          (** solve calls: models plus one unsat
+                                answer per sweep *)
   conflicts : int;          (** conflicts spent inside this frame *)
   learnts_start : int;      (** learnt clauses alive when the frame began:
                                 knowledge inherited from earlier frames *)
   frontier_states : float;  (** states newly added by this frame *)
-  total_states : float;     (** |reached| after this frame *)
+  total_states : float;     (** |reached| after this frame: the previous
+                                total plus [frontier_states] *)
   time_s : float;
 }
 
@@ -60,17 +62,14 @@ type result = {
   layers : Ps_bdd.Bdd.t list;
       (** cumulative, [List.hd] = the target set *)
   time_s : float;
-  solver_stats : Ps_util.Stats.t;
-      (** final stats of the persistent solver — includes
-          ["groups_live"], ["groups_retired"], ["learnts_kept"] *)
 }
 
 (** A running session. *)
 type t
 
-(** [create ?trace circuit target] encodes the transition cone, blocks
-    the target cubes (the initial reached set) and posts the first
-    frontier. Raises [Invalid_argument] when the circuit has no latches
+(** [create ?trace circuit target] encodes the transition cone and
+    blocks the target cubes (the initial reached set), which are the
+    first frontier. Raises [Invalid_argument] when the circuit has no latches
     (as {!Reach.backward}).
 
     [store] persists the session into a durable solution log
@@ -92,8 +91,8 @@ val create :
   t
 
 (** [frame t] runs one fixpoint frame: enumerate
-    [Pre(frontier) \ reached], extend the reached set, retire the
-    frame's group. Returns [false] when the fixpoint was already
+    [Pre(frontier) \ reached], one sweep per frontier cube, and extend
+    the reached set. Returns [false] when the fixpoint was already
     reached (no frame was run). *)
 val frame : t -> bool
 

@@ -61,12 +61,6 @@ type t = {
      [solve] under the same assumptions resumes from it; every other
      entry point returns to the root first. *)
   mutable kept : Lit.t array option;
-  (* Retractable clause groups: activation variable -> live crefs of the
-     group's arena clauses (unit group clauses are enqueued, not stored).
-     Retired groups leave the table. *)
-  groups : (int, int Vec.t) Hashtbl.t;
-  mutable n_groups_retired : int;
-  mutable n_learnts_kept : int;
   (* Transient per-[solve] observability hooks (set on entry). *)
   mutable budget : Budget.t option;
   mutable trace : Trace.sink;
@@ -117,9 +111,6 @@ let create () =
     n_blocker_skips = 0;
     conflict_core = [];
     kept = None;
-    groups = Hashtbl.create 16;
-    n_groups_retired = 0;
-    n_learnts_kept = 0;
     budget = None;
     trace = Trace.null;
   }
@@ -181,6 +172,7 @@ let okay t = t.ok
 
 let n_clauses t = Vec.size t.clauses
 let n_learnts t = Vec.size t.learnts
+let n_conflicts t = t.n_conflicts
 
 let stats t =
   let st = Stats.create () in
@@ -200,9 +192,6 @@ let stats t =
   Stats.add st "arena_live_words" (Arena.live_words t.arena);
   Stats.add st "arena_gcs" t.n_gcs;
   Stats.add st "arena_gc_words" t.n_gc_words;
-  Stats.add st "groups_live" (Hashtbl.length t.groups);
-  Stats.add st "groups_retired" t.n_groups_retired;
-  Stats.add st "learnts_kept" t.n_learnts_kept;
   st
 
 (* --- assignment primitives ------------------------------------------- *)
@@ -529,14 +518,6 @@ let garbage_collect t =
   for i = 0 to Vec.size t.learnts - 1 do
     Vec.set t.learnts i (Arena.reloc ~from ~into (Vec.get t.learnts i))
   done;
-  (* Group registries are a secondary index into [t.clauses]; [reloc]'s
-     forwarding pointers make the second visit a lookup, not a copy. *)
-  Hashtbl.iter
-    (fun _ crs ->
-      for i = 0 to Vec.size crs - 1 do
-        Vec.set crs i (Arena.reloc ~from ~into (Vec.get crs i))
-      done)
-    t.groups;
   t.arena <- into;
   t.n_gcs <- t.n_gcs + 1;
   t.n_gc_words <- t.n_gc_words + (before_words - Arena.len into);
@@ -574,11 +555,9 @@ let reduce_db t =
 
 (* --- adding clauses ---------------------------------------------------- *)
 
-(* Shared add path; returns the arena reference when the (simplified)
-   clause was actually stored, so the group registry can index it. *)
-let add_clause_cref t lits =
+let add_clause t lits =
   back_to_root t;
-  if not t.ok then (false, cref_undef)
+  if not t.ok then false
   else begin
     List.iter (fun l -> ensure_vars t (Lit.var l + 1)) lits;
     (* Sort, dedupe, drop root-false literals, detect tautology /
@@ -588,29 +567,27 @@ let add_clause_cref t lits =
       List.exists (fun l -> List.mem (Lit.negate l) lits) lits
       || List.exists (fun l -> value_lit t l = 1) lits
     in
-    if tautology then (true, cref_undef)
+    if tautology then true
     else begin
       let lits = List.filter (fun l -> value_lit t l <> 0) lits in
       match lits with
       | [] ->
         t.ok <- false;
-        (false, cref_undef)
+        false
       | [ l ] ->
         ignore (enqueue t l cref_undef);
         if propagate t <> cref_undef then begin
           t.ok <- false;
-          (false, cref_undef)
+          false
         end
-        else (true, cref_undef)
+        else true
       | _ ->
         let cr = Arena.alloc t.arena ~learnt:false (Array.of_list lits) in
         Vec.push t.clauses cr;
         attach t cr;
-        (true, cr)
+        true
     end
   end
-
-let add_clause t lits = fst (add_clause_cref t lits)
 
 (* Add a clause that the kept model trail falsifies without giving the
    trail up: watch the two highest-level literals and backjump to the
@@ -651,74 +628,6 @@ let load t cnf =
     (fun ok c -> add_clause t (Array.to_list c) && ok)
     true
     (List.rev cnf.Cnf.clauses)
-
-(* --- retractable clause groups ------------------------------------------ *)
-
-type group = int (* the activation variable *)
-
-let new_group t =
-  back_to_root t;
-  let v = new_var t in
-  Hashtbl.replace t.groups v (Vec.create ~dummy:cref_undef);
-  v
-
-let group_lit _t g = Lit.pos g
-
-let group_is_live t g = Hashtbl.mem t.groups g
-
-let group_clauses t g =
-  match Hashtbl.find_opt t.groups g with
-  | Some crs -> Vec.size crs
-  | None -> 0
-
-let add_grouped t g lits =
-  if not (Hashtbl.mem t.groups g) then
-    invalid_arg "Solver.add_grouped: retired or unknown group";
-  let ok, cr = add_clause_cref t (Lit.neg g :: lits) in
-  if cr <> cref_undef then Vec.push (Hashtbl.find t.groups g) cr;
-  ok
-
-let retire_group t g =
-  match Hashtbl.find_opt t.groups g with
-  | None -> invalid_arg "Solver.retire_group: retired or unknown group"
-  | Some crs ->
-    Hashtbl.remove t.groups g;
-    t.n_groups_retired <- t.n_groups_retired + 1;
-    t.n_learnts_kept <- t.n_learnts_kept + Vec.size t.learnts;
-    (* Permanently disable the activation literal; every clause of the
-       group is root-satisfied from here on, so freeing the blocks below
-       cannot lose information. *)
-    ignore (add_clause t [ Lit.neg g ]);
-    if Vec.size crs > 0 then begin
-      let freed = Hashtbl.create (Vec.size crs) in
-      Vec.iter
-        (fun cr ->
-          if not (Arena.dead t.arena cr) then begin
-            detach t cr;
-            Arena.free t.arena cr;
-            Hashtbl.replace freed cr ()
-          end)
-        crs;
-      (* A group clause may be the reason of a root-fixed literal (it
-         went unit before retirement — typically for ¬g itself); level-0
-         literals never need an antecedent, so clear those pointers
-         before the blocks are reclaimed. *)
-      for v = 0 to t.n_vars - 1 do
-        if t.reason.(v) <> cref_undef && Hashtbl.mem freed t.reason.(v) then
-          t.reason.(v) <- cref_undef
-      done;
-      let kept = Vec.create ~dummy:cref_undef in
-      Vec.iter
-        (fun cr -> if not (Hashtbl.mem freed cr) then Vec.push kept cr)
-        t.clauses;
-      Vec.clear t.clauses;
-      Vec.iter (fun cr -> Vec.push t.clauses cr) kept;
-      if Arena.should_gc t.arena then garbage_collect t
-    end
-
-let groups_live t = Hashtbl.length t.groups
-let groups_retired t = t.n_groups_retired
-let learnts_kept t = t.n_learnts_kept
 
 (* --- search ------------------------------------------------------------ *)
 
@@ -950,17 +859,6 @@ let check_watches t =
     in
     Vec.iter record t.clauses;
     Vec.iter record t.learnts;
-    (* Live group registries only reference live problem clauses. *)
-    Hashtbl.iter
-      (fun g crs ->
-        Vec.iter
-          (fun cr ->
-            if cr = cref_undef || Arena.dead t.arena cr then
-              bad "group %d holds dead cref %d" g cr;
-            if not (Vec.exists (fun c -> c = cr) t.clauses) then
-              bad "group %d cref %d not in the problem-clause list" g cr)
-          crs)
-      t.groups;
     (* The arena's live blocks are exactly the registered clauses. *)
     let n_arena = ref 0 in
     Arena.iter_live

@@ -17,10 +17,10 @@
     backjumps only to the clause's assertion level; the next [solve]
     under the {e same} assumptions continues from the kept prefix
     instead of re-deciding the whole assignment. Every other call
-    returns to the root first: {!add_clause}, {!load}, the group API, a
-    [solve] with different assumptions, and every [Unsat] or [Unknown]
-    answer. A [solve] repeated after [Sat] with nothing in between
-    returns the same model at once.
+    returns to the root first: {!add_clause}, {!load}, a [solve] with
+    different assumptions, and every [Unsat] or [Unknown] answer. A
+    [solve] repeated after [Sat] with nothing in between returns the
+    same model at once.
 
     Clause storage is a flat {!Arena}: all literals live in one
     contiguous int array, a clause is an integer offset, and watcher
@@ -74,63 +74,6 @@ val block : t -> Lit.t list -> bool
 (** [load t cnf] allocates [cnf]'s variables and adds all its clauses. *)
 val load : t -> Cnf.t -> bool
 
-(** {2 Retractable clause groups}
-
-    A group is a set of clauses guarded by one fresh {e activation
-    variable} [g]: every clause of the group is stored as [¬g ∨ clause],
-    so the group is inert until a [solve] call assumes {!group_lit}
-    (making [g] true) — and can be {e retired} wholesale by fixing [g]
-    false at the root. Retirement detaches and frees the group's
-    clauses (they are root-satisfied forever) and lets the arena's
-    copying collector reclaim the words, while every learnt clause
-    derived meanwhile survives — learnts never resolve on clauses, only
-    on literals, and any learnt that depends on the group contains [¬g]
-    and is harmlessly satisfied after retirement.
-
-    This is the machinery behind incremental fixpoints
-    ({!Ps_core.Reach_inc}[*]): per-frame constraints live in a group
-    assumed during the frame and retired when the frame ends, so the
-    solver — and its learnt knowledge — persists across frames. *)
-
-type group
-
-(** [new_group t] allocates a fresh activation variable and an empty
-    group around it. *)
-val new_group : t -> group
-
-(** [group_lit t g] is the assumption literal that activates the
-    group's clauses for one [solve] call. *)
-val group_lit : t -> group -> Lit.t
-
-(** [add_grouped t g lits] adds [¬g ∨ lits]. Same simplification and
-    return contract as {!add_clause}; if every literal of [lits] is
-    false at the root the clause degenerates to the unit [¬g],
-    permanently deactivating the group. Raises [Invalid_argument] on a
-    retired group. *)
-val add_grouped : t -> group -> Lit.t list -> bool
-
-(** [retire_group t g] permanently disables the group (root unit [¬g])
-    and frees its clauses; the arena reclaims the space at the next
-    collection (triggered immediately when the 20% waste threshold is
-    crossed). Learnt clauses are untouched. Raises [Invalid_argument]
-    when already retired. *)
-val retire_group : t -> group -> unit
-
-(** [group_is_live t g] — has the group not been retired? *)
-val group_is_live : t -> group -> bool
-
-(** [group_clauses t g] is the number of stored (non-unit) clauses of a
-    live group; 0 after retirement. *)
-val group_clauses : t -> group -> int
-
-val groups_live : t -> int
-val groups_retired : t -> int
-
-(** [learnts_kept t] — learnt clauses alive at each {!retire_group},
-    summed over retirements: the knowledge carried across frame
-    boundaries by an incremental session. *)
-val learnts_kept : t -> int
-
 (** [solve ?assumptions ?budget ?trace t] decides satisfiability of the
     clause set under the given assumption literals. Learnt clauses
     persist across calls. A [Sat] answer keeps its trail (see {!block});
@@ -176,9 +119,7 @@ val root_value : t -> Lit.var -> bool option
     ["blocker_skips"] (watcher visits resolved by the blocker literal
     alone, without touching clause memory), ["arena_words"],
     ["arena_bytes"], ["arena_live_words"], ["arena_gcs"],
-    ["arena_gc_words"] (cumulative words reclaimed by compaction),
-    ["groups_live"], ["groups_retired"], ["learnts_kept"] (see
-    {!learnts_kept}). *)
+    ["arena_gc_words"] (cumulative words reclaimed by compaction). *)
 val stats : t -> Ps_util.Stats.t
 
 (** [n_clauses t] is the number of live problem clauses (excluding learnt). *)
@@ -186,6 +127,10 @@ val n_clauses : t -> int
 
 (** [n_learnts t] is the number of live learnt clauses. *)
 val n_learnts : t -> int
+
+(** [n_conflicts t] is the number of conflicts since {!create}: the
+    ["conflicts"] statistic without building the {!stats} table. *)
+val n_conflicts : t -> int
 
 (** [unsat_core t] — after [solve ~assumptions] returned [Unsat]: a
     subset of the assumptions that already makes the clauses

@@ -212,7 +212,29 @@ let test_cube () =
   let c = B.cube m [ (0, true); (3, false) ] in
   check_bool "in cube" true (B.eval c [| true; false; true; false |]);
   check_bool "out of cube" false (B.eval c [| true; false; true; true |]);
-  Alcotest.(check (float 0.0)) "cube count" 4.0 (B.count_models ~nvars:4 c)
+  Alcotest.(check (float 0.0)) "cube count" 4.0 (B.count_models ~nvars:4 c);
+  Alcotest.check_raises "variable out of range"
+    (Invalid_argument "Bdd: variable out of range") (fun () ->
+      ignore (B.cube m [ (4, true) ]))
+
+let cube_matches_conjunction =
+  Helpers.qtest "cube = conjunction of its literals" ~count:200
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      (* Random literal lists in any order, with repeated variables, some
+         agreeing and some clashing. *)
+      let rng = R.create ~seed in
+      let nvars = 1 + R.int rng 6 in
+      let m = B.new_man ~nvars in
+      let lits =
+        List.init (R.int rng 8) (fun _ -> (R.int rng nvars, R.bool rng))
+      in
+      let conj =
+        List.fold_left
+          (fun acc (v, value) -> B.band acc (if value then B.var m v else B.nvar m v))
+          (B.one m) lits
+      in
+      B.equal (B.cube m lits) conj)
 
 let () =
   Alcotest.run "ps_bdd"
@@ -249,5 +271,6 @@ let () =
           Alcotest.test_case "of_cnf" `Quick test_of_cnf;
           Alcotest.test_case "count with free vars" `Quick test_count_models_free_vars;
           Alcotest.test_case "cube" `Quick test_cube;
+          cube_matches_conjunction;
         ] );
     ]

@@ -13,9 +13,10 @@
      brute-force truth-table enumerator over all total assignments;
 
    - backward-reachability fixpoints: the incremental session
-     (Reach_inc: one solver, retractable frame groups) against the
-     rebuild-per-frame baseline — reached set, layers, fixpoint flag and
-     every per-step statistic must be bit-identical.
+     (Reach_inc: one solver, one assumption sweep per frontier cube)
+     against the rebuild-per-frame baseline — reached set, layers,
+     fixpoint flag and every per-step statistic must be bit-identical,
+     and no session frame may find a state twice.
 
    The netlist families are {e shrinking}: a failing random instance is
    greedily minimized (fewer gates, fewer inputs/latches, fewer/looser
@@ -419,15 +420,27 @@ let check_reach w =
           || a.Reach.frontier_cubes <> b.Reach.frontier_cubes)
         (List.combine base.Reach.steps inc.Reach.steps)
     in
-    Option.map
-      (fun ((a : Reach.step), (b : Reach.step)) ->
-        Printf.sprintf
-          "step %d differs: baseline (+%g, total %g, %d cubes) vs \
-           incremental (+%g, total %g, %d cubes)"
-          a.Reach.index a.Reach.frontier_states a.Reach.total_states
-          a.Reach.frontier_cubes b.Reach.frontier_states b.Reach.total_states
-          b.Reach.frontier_cubes)
-      mismatch
+    match mismatch with
+    | Some ((a : Reach.step), (b : Reach.step)) ->
+      Some
+        (Printf.sprintf
+           "step %d differs: baseline (+%g, total %g, %d cubes) vs \
+            incremental (+%g, total %g, %d cubes)"
+           a.Reach.index a.Reach.frontier_states a.Reach.total_states
+           a.Reach.frontier_cubes b.Reach.frontier_states b.Reach.total_states
+           b.Reach.frontier_cubes)
+    | None ->
+      (* Every model is a state minterm, so models = fresh states holds
+         exactly when no state is found twice — also when a state lies in
+         the preimage of several frontier cubes. *)
+      let module RI = Preimage.Reach_inc in
+      List.find_opt
+        (fun (f : RI.frame) -> float_of_int f.RI.new_cubes <> f.RI.frontier_states)
+        (RI.run circuit target).RI.frames
+      |> Option.map (fun (f : RI.frame) ->
+             Printf.sprintf
+               "session frame %d: %d models for %g fresh states (%d frontier cubes)"
+               f.RI.index f.RI.new_cubes f.RI.frontier_states f.RI.frontier_cubes)
 
 let run_reach_seed seed =
   let w = reach_witness seed in

@@ -291,101 +291,6 @@ let solver_incremental_enumeration =
       done;
       !count = expected)
 
-(* --- Solver: retractable clause groups ----------------------------------- *)
-
-let test_group_lifecycle () =
-  let s = Solver.create () in
-  let a = Solver.new_var s and b = Solver.new_var s in
-  ignore (Solver.add_clause s [ Lit.pos a; Lit.pos b ]);
-  let g = Solver.new_group s in
-  ignore (Solver.add_grouped s g [ Lit.neg a ]);
-  ignore (Solver.add_grouped s g [ Lit.neg b ]);
-  check_int "two stored clauses" 2 (Solver.group_clauses s g);
-  check_bool "live" true (Solver.group_is_live s g);
-  check_int "groups_live" 1 (Solver.groups_live s);
-  (* inert without the activation assumption *)
-  Alcotest.check sat "inactive group" Solver.Sat (Solver.solve s);
-  (* active: (a|b) & !a & !b *)
-  Alcotest.check sat "active group" Solver.Unsat
-    (Solver.solve ~assumptions:[ Solver.group_lit s g ] s);
-  (* still inert again afterwards *)
-  Alcotest.check sat "inactive again" Solver.Sat (Solver.solve s);
-  Solver.retire_group s g;
-  check_bool "retired" false (Solver.group_is_live s g);
-  check_int "no stored clauses" 0 (Solver.group_clauses s g);
-  check_int "groups_retired" 1 (Solver.groups_retired s);
-  Alcotest.check sat "solvable after retire" Solver.Sat (Solver.solve s);
-  (match Solver.check_watches s with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "watch invariants after retire: %s" msg);
-  Alcotest.check_raises "add to retired group"
-    (Invalid_argument "Solver.add_grouped: retired or unknown group")
-    (fun () -> ignore (Solver.add_grouped s g [ Lit.pos a ]));
-  Alcotest.check_raises "retire twice"
-    (Invalid_argument "Solver.retire_group: retired or unknown group")
-    (fun () -> Solver.retire_group s g)
-
-let test_group_learnts_survive () =
-  (* php(6,5) inside a group: activating it forces real conflict
-     learning; retiring it must keep every learnt clause (counted by
-     learnts_kept) and leave the solver satisfiable. *)
-  let f = php 6 5 in
-  let s = Solver.create () in
-  Solver.ensure_vars s f.Cnf.nvars;
-  let g = Solver.new_group s in
-  List.iter
-    (fun c -> ignore (Solver.add_grouped s g (Array.to_list c)))
-    f.Cnf.clauses;
-  Alcotest.check sat "php active: unsat" Solver.Unsat
-    (Solver.solve ~assumptions:[ Solver.group_lit s g ] s);
-  let learnts = Solver.n_learnts s in
-  check_bool "conflicts learned something" true (learnts > 0);
-  Solver.retire_group s g;
-  check_int "learnts_kept counts them" learnts (Solver.learnts_kept s);
-  check_bool "learnts still live" true (Solver.n_learnts s > 0);
-  Alcotest.check sat "sat after retire" Solver.Sat (Solver.solve s);
-  match Solver.check_watches s with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "watch invariants: %s" msg
-
-let test_group_arena_reclaim () =
-  (* Retired groups are garbage: enough retired words must trip the
-     arena's own 20% trigger and be reclaimed by compaction. *)
-  let s = Solver.create () in
-  let v = Array.init 40 (fun _ -> Solver.new_var s) in
-  for round = 0 to 19 do
-    let g = Solver.new_group s in
-    for i = 0 to 38 do
-      ignore
-        (Solver.add_grouped s g
-           [ Lit.make v.(i) (round land 1 = 0); Lit.pos v.(i + 1) ])
-    done;
-    ignore (Solver.solve ~assumptions:[ Solver.group_lit s g ] s);
-    Solver.retire_group s g
-  done;
-  let st = Solver.stats s in
-  check_bool "arena collected" true (Ps_util.Stats.get st "arena_gcs" > 0);
-  check_bool "words reclaimed" true
-    (Ps_util.Stats.get st "arena_gc_words" > 0);
-  check_int "all groups retired" 20 (Solver.groups_retired s);
-  check_int "none live" 0 (Solver.groups_live s);
-  match Solver.check_watches s with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "watch invariants: %s" msg
-
-let test_group_degenerate_unit () =
-  (* A grouped clause whose literals are all root-false degenerates to
-     the unit !g: the group is permanently deactivated. *)
-  let s = Solver.create () in
-  let a = Solver.new_var s in
-  ignore (Solver.add_clause s [ Lit.pos a ]);
-  let g = Solver.new_group s in
-  ignore (Solver.add_grouped s g [ Lit.neg a ]);
-  Alcotest.check sat "activation now impossible" Solver.Unsat
-    (Solver.solve ~assumptions:[ Solver.group_lit s g ] s);
-  Alcotest.check sat "but the solver itself is fine" Solver.Sat
-    (Solver.solve s)
-
 (* --- Solver: unsat cores -------------------------------------------------- *)
 
 let test_unsat_core_minimal () =
@@ -416,24 +321,6 @@ let test_unsat_core_nonminimal () =
   Alcotest.check sat "core refutes" Solver.Unsat
     (Solver.solve ~assumptions:core s)
 
-let test_unsat_core_under_groups () =
-  (* The refuting constraint lives in a group: the core must name the
-     activation literal (the culprit), not the irrelevant assumption. *)
-  let s = Solver.create () in
-  let a = Solver.new_var s and x = Solver.new_var s in
-  ignore (Solver.add_clause s [ Lit.pos a ]);
-  let g = Solver.new_group s in
-  ignore (Solver.add_grouped s g [ Lit.neg a ]);
-  let assumptions = [ Solver.group_lit s g; Lit.pos x ] in
-  Alcotest.check sat "unsat with group active" Solver.Unsat
-    (Solver.solve ~assumptions s);
-  let core = Solver.unsat_core s in
-  check_bool "names the group" true
-    (List.mem (Solver.group_lit s g) core);
-  check_bool "not the bystander" true (not (List.mem (Lit.pos x) core));
-  Alcotest.check sat "core refutes" Solver.Unsat
-    (Solver.solve ~assumptions:core s)
-
 let test_unsat_core_across_gc () =
   (* A core stays usable after an arena collection: compaction moves
      clauses, and the relocated clause set must still refute it. *)
@@ -457,53 +344,6 @@ let test_unsat_core_across_gc () =
   match Solver.check_watches s with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "watch invariants after gc: %s" msg
-
-let group_enumeration_matches_plain =
-  Helpers.qtest "grouped constraint = plain constraint (model sets)" ~count:120
-    QCheck.(int_range 0 1_000_000)
-    (fun seed ->
-      (* Enumerate models of F ∧ C with C as plain clauses on one solver
-         and as an activated group on another; the model sets must match,
-         and after retiring the group the second solver must enumerate
-         plain F again. *)
-      let rng = R.create ~seed in
-      let nvars = 2 + R.int rng 6 in
-      let f = Helpers.random_cnf rng ~nvars ~nclauses:(R.int rng 10) ~max_len:3 in
-      let c =
-        List.init
-          (1 + R.int rng 2)
-          (fun _ ->
-            List.init
-              (1 + R.int rng 2)
-              (fun _ -> Lit.make (R.int rng nvars) (R.bool rng)))
-      in
-      let enumerate s assumptions =
-        (* non-destructive model collection: probe every total assignment
-           with full-model assumptions on top of [assumptions] *)
-        let models = ref [] in
-        Helpers.iter_assignments nvars (fun m ->
-            let a = List.init nvars (fun v -> Lit.make v m.(v)) in
-            if Solver.solve ~assumptions:(assumptions @ a) s = Solver.Sat then
-              models := Array.to_list m :: !models);
-        List.rev !models
-      in
-      let plain = Solver.create () in
-      ignore (Solver.load plain f);
-      List.iter (fun cl -> ignore (Solver.add_clause plain cl)) c;
-      let grouped = Solver.create () in
-      ignore (Solver.load grouped f);
-      let g = Solver.new_group grouped in
-      List.iter (fun cl -> ignore (Solver.add_grouped grouped g cl)) c;
-      let with_group =
-        enumerate grouped [ Solver.group_lit grouped g ] = enumerate plain []
-      in
-      Solver.retire_group grouped g;
-      let after_retire =
-        let bare = Solver.create () in
-        ignore (Solver.load bare f);
-        enumerate grouped [] = enumerate bare []
-      in
-      with_group && after_retire)
 
 (* --- Solver: blocking without restarts ------------------------------- *)
 
@@ -756,30 +596,6 @@ let test_block_budget_stop_resumes () =
   Alcotest.(check (list (list bool))) "same models" expected
     (List.sort compare !found)
 
-let test_block_then_groups () =
-  (* block, then a group round trip: new_group returns to the root, the
-     grouped enumeration continues from the blocks, and after retirement
-     the rest of the models follow. *)
-  let nvars = 4 in
-  let f = Cnf.of_clauses ~nvars [ [ Lit.pos 0; Lit.pos 1 ] ] in
-  let proj = List.init nvars Fun.id in
-  let expected = projected_models_by_restart f ~proj ~assumptions:[] in
-  let s = solver_of f in
-  Alcotest.check sat "first model" Solver.Sat (Solver.solve s);
-  let first = List.map (Solver.model_value s) proj in
-  ignore (block_checked s (blocking_clause proj first (keep_all first)));
-  let g = Solver.new_group s in
-  check_bool "new_group returns to the root" true (at_root s);
-  ignore (Solver.add_grouped s g [ Lit.pos 2 ]);
-  let grouped = drain_by_block s ~proj ~assumptions:[ Solver.group_lit s g ] in
-  check_bool "grouped models all satisfy the group" true
-    (List.for_all (fun m -> List.nth m 2) grouped);
-  Solver.retire_group s g;
-  watches_ok s;
-  let rest = drain_by_block s ~proj ~assumptions:[] in
-  Alcotest.(check (list (list bool))) "every model exactly once" expected
-    (List.sort compare ((first :: grouped) @ rest))
-
 let () =
   Alcotest.run "ps_sat"
     [
@@ -817,17 +633,6 @@ let () =
           solver_assumptions_sound;
           solver_incremental_enumeration;
         ] );
-      ( "groups",
-        [
-          Alcotest.test_case "lifecycle" `Quick test_group_lifecycle;
-          Alcotest.test_case "learnts survive retirement" `Quick
-            test_group_learnts_survive;
-          Alcotest.test_case "arena reclaims retired groups" `Quick
-            test_group_arena_reclaim;
-          Alcotest.test_case "degenerate unit deactivates" `Quick
-            test_group_degenerate_unit;
-          group_enumeration_matches_plain;
-        ] );
       ( "block",
         [
           block_enumeration_matches_restart;
@@ -837,16 +642,12 @@ let () =
             test_sat_then_add_clause_restarts;
           Alcotest.test_case "budget-stopped solve resumes" `Quick
             test_block_budget_stop_resumes;
-          Alcotest.test_case "then a group round trip" `Quick
-            test_block_then_groups;
         ] );
       ( "unsat_core",
         [
           Alcotest.test_case "minimal" `Quick test_unsat_core_minimal;
           Alcotest.test_case "non-minimal contract" `Quick
             test_unsat_core_nonminimal;
-          Alcotest.test_case "under activation groups" `Quick
-            test_unsat_core_under_groups;
           Alcotest.test_case "stable across arena gc" `Quick
             test_unsat_core_across_gc;
         ] );
