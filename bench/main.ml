@@ -223,7 +223,7 @@ let table4 () =
               (if r.Rh.fixpoint then "yes" else "no");
               ms r.Rh.time_s;
             ])
-          [ Rh.E_sds; Rh.E_sds_dynamic; Rh.E_blocking_lift; Rh.E_bdd ])
+          [ Rh.E_incremental; Rh.E_bdd ])
       cases
   in
   print_table "Table 4: backward reachability to fixpoint"
@@ -583,13 +583,13 @@ let record_smoke ?(jobs = 1) ?(speedup = 1.0) ~workload ~engine ~time_s
    per-engine smoke shape. *)
 type reach_row = {
   rr_workload : string;
-  rr_mode : string;            (* "baseline" | "incremental" *)
+  rr_mode : string;            (* "bdd" | "incremental" *)
   rr_frames : int;
   rr_total_states : float;
   rr_time_s : float;
-  rr_speedup : float;          (* this row's frames/s over baseline's; 1.0 for baseline *)
+  rr_speedup : float;          (* this row's frames/s over the bdd row's; 1.0 for bdd *)
   rr_learnts_carried : int;    (* learnt clauses alive when the last frame began *)
-  rr_agree : bool;             (* reached/fixpoint identical to baseline *)
+  rr_agree : bool;             (* steps/fixpoint identical to the bdd row's *)
 }
 
 let reach_rows : reach_row list ref = ref []
@@ -860,14 +860,16 @@ let parallel_exp () =
          ])
        !parallel_rows)
 
-(* --- reach: incremental session vs rebuild-per-frame baseline ------------------ *)
+(* --- reach: the incremental session vs the BDD oracle ------------------------- *)
 
 (* The reachability fixpoint is the paper's headline application; this
-   experiment measures what the incremental session buys: frames/s
-   against the rebuild-per-frame baseline, and how much learnt knowledge
+   experiment times the incremental session (one solver, lifted cubes)
+   against the BDD fixpoint, and reports how much learnt knowledge
    survives the frame boundaries ([learnts_carried]: the learnt clauses
-   alive when the last frame began). Both runs must agree on frames / states / fixpoint — the
-   full set-equality check lives in the differential test suite. *)
+   alive when the last frame began). Both runs must agree on every step
+   (fresh and total states, frontier cubes) and on the fixpoint flag, or
+   the bench exits 1 — the full set-equality check lives in the
+   differential test suite. *)
 let reach_exp () =
   let max_steps = 48 in
   let entries =
@@ -878,53 +880,57 @@ let reach_exp () =
         T.value ~bits:16 1 );
     ]
   in
+  let module RI = Preimage.Reach_inc in
   let rows =
     List.map
       (fun (name, circuit, target) ->
-        let base = Rh.backward ~engine:Rh.E_sds ~max_steps circuit target in
-        let inc = Preimage.Reach_inc.run ~max_steps circuit target in
-        let frames_b = List.length base.Rh.steps in
-        let frames_i = List.length inc.Preimage.Reach_inc.frames in
+        let base = Rh.backward ~engine:Rh.E_bdd ~max_steps circuit target in
+        let inc = RI.run ~max_steps circuit target in
+        let frames = List.length inc.RI.frames in
         let agree =
-          frames_b = frames_i
-          && base.Rh.fixpoint = inc.Preimage.Reach_inc.fixpoint
-          && base.Rh.total_states = inc.Preimage.Reach_inc.total_states
+          base.Rh.fixpoint = inc.RI.fixpoint
+          && List.map
+               (fun (s : Rh.step) ->
+                 (s.Rh.index, s.Rh.frontier_states, s.Rh.total_states, s.Rh.frontier_cubes))
+               base.Rh.steps
+             = List.map
+                 (fun (f : RI.frame) ->
+                   (f.RI.index, f.RI.frontier_states, f.RI.total_states, f.RI.frontier_cubes))
+                 inc.RI.frames
         in
-        let fps_b = frames_per_sec frames_b base.Rh.time_s in
-        let fps_i = frames_per_sec frames_i inc.Preimage.Reach_inc.time_s in
+        if not agree then bench_failed := true;
+        let fps_b = frames_per_sec (List.length base.Rh.steps) base.Rh.time_s in
+        let fps_i = frames_per_sec frames inc.RI.time_s in
         let speedup = if fps_b > 0.0 then fps_i /. fps_b else 1.0 in
         let learnts_carried =
-          match List.rev inc.Preimage.Reach_inc.frames with
-          | last :: _ -> last.Preimage.Reach_inc.learnts_start
+          match List.rev inc.RI.frames with
+          | last :: _ -> last.RI.learnts_start
           | [] -> 0
         in
-        reach_rows :=
+        let row ~mode ~frames ~total_states ~time_s ~speedup ~learnts_carried =
           {
             rr_workload = name;
-            rr_mode = "incremental";
-            rr_frames = frames_i;
-            rr_total_states = inc.Preimage.Reach_inc.total_states;
-            rr_time_s = inc.Preimage.Reach_inc.time_s;
+            rr_mode = mode;
+            rr_frames = frames;
+            rr_total_states = total_states;
+            rr_time_s = time_s;
             rr_speedup = speedup;
             rr_learnts_carried = learnts_carried;
             rr_agree = agree;
           }
-          :: {
-               rr_workload = name;
-               rr_mode = "baseline";
-               rr_frames = frames_b;
-               rr_total_states = base.Rh.total_states;
-               rr_time_s = base.Rh.time_s;
-               rr_speedup = 1.0;
-               rr_learnts_carried = 0;
-               rr_agree = true;
-             }
+        in
+        reach_rows :=
+          row ~mode:"incremental" ~frames ~total_states:inc.RI.total_states
+            ~time_s:inc.RI.time_s ~speedup ~learnts_carried
+          :: row ~mode:"bdd" ~frames:(List.length base.Rh.steps)
+               ~total_states:base.Rh.total_states ~time_s:base.Rh.time_s
+               ~speedup:1.0 ~learnts_carried:0
           :: !reach_rows;
         [
           name;
-          string_of_int frames_b;
+          string_of_int frames;
           ms base.Rh.time_s;
-          ms inc.Preimage.Reach_inc.time_s;
+          ms inc.RI.time_s;
           Printf.sprintf "%.0f" fps_b;
           Printf.sprintf "%.0f" fps_i;
           f2 speedup;
@@ -933,8 +939,8 @@ let reach_exp () =
         ])
       entries
   in
-  print_table "Reach: incremental session vs rebuild-per-frame baseline"
-    [ "workload"; "frames"; "base_ms"; "inc_ms"; "base_f/s"; "inc_f/s";
+  print_table "Reach: incremental session vs BDD oracle"
+    [ "workload"; "frames"; "bdd_ms"; "inc_ms"; "bdd_f/s"; "inc_f/s";
       "speedup"; "learnts_carried"; "agree" ]
     rows
 
@@ -1102,7 +1108,7 @@ let bechamel_section () =
         Test.make ~name:"table4-reach-traffic"
           (Staged.stage (fun () ->
                ignore
-                 (Rh.backward ~engine:Rh.E_sds traffic (T.of_strings [ "0111" ]))));
+                 (Rh.backward traffic (T.of_strings [ "0111" ]))));
         Test.make ~name:"fig1-sds-count12"
           (Staged.stage (fun () -> ignore (E.run E.Sds i12)));
         Test.make ~name:"fig2-graph-union"

@@ -312,29 +312,12 @@ let preimage_cmd =
 
 let reach_cmd =
   let engine =
-    let parse = function
-      | "sds" -> Ok R.E_sds
-      | "sds-dynamic" -> Ok R.E_sds_dynamic
-      | "blocking-lift" -> Ok R.E_blocking_lift
-      | "bdd" -> Ok R.E_bdd
-      | "incremental" -> Ok R.E_incremental
-      | s -> Error (`Msg (Printf.sprintf "unknown engine %S" s))
-    in
     Arg.(
       value
-      & opt (Arg.conv (parse, fun ppf e -> Format.pp_print_string ppf (R.engine_name e))) R.E_sds
+      & opt string "incremental"
       & info [ "e"; "engine" ] ~docv:"ENGINE"
-          ~doc:"$(b,sds) (default), $(b,sds-dynamic), $(b,blocking-lift), \
-                $(b,bdd), or $(b,incremental).")
-  in
-  let incremental =
-    Arg.(
-      value & flag
-      & info [ "incremental" ]
-          ~doc:
-            "Incremental session: build the transition CNF once and keep one \
-             solver (and its learnt clauses) across all fixpoint frames. \
-             Shorthand for $(b,--engine incremental).")
+          ~doc:"$(b,incremental) (default): one SAT session across all \
+                frames; or $(b,bdd), the BDD oracle.")
   in
   let trace_file =
     Arg.(
@@ -358,8 +341,18 @@ let reach_cmd =
             "After the fixpoint, extract a witness input trace from this \
              state (0/1 string, state bit 0 first).")
   in
-  let run spec target_spec engine incremental max_steps trace_from trace_file
-      store_file resume_file =
+  let run spec target_spec engine max_steps trace_from trace_file store_file
+      resume_file =
+    let engine =
+      match engine with
+      | "incremental" -> R.E_incremental
+      | "bdd" -> R.E_bdd
+      | e -> die "unknown reach engine %S (expected incremental or bdd)" e
+    in
+    if
+      engine = R.E_bdd
+      && (Option.is_some store_file || Option.is_some resume_file)
+    then die "--store and --resume need the incremental engine";
     let circuit = load_circuit spec in
     let target = parse_target circuit target_spec in
     let nstate = List.length (N.latches circuit) in
@@ -395,8 +388,8 @@ let reach_cmd =
           in
           let r =
             try
-              R.backward ~engine ~incremental ~max_steps ~trace ?store ?resume
-                circuit target
+              R.backward ~engine ~max_steps ~trace ?store ?resume circuit
+                target
             with Invalid_argument msg -> die "%s" msg
           in
           (match store with
@@ -432,8 +425,8 @@ let reach_cmd =
   Cmd.v
     (Cmd.info "reach" ~doc:"Backward-reachability fixpoint")
     Term.(
-      const run $ circuit_arg $ target_arg $ engine $ incremental $ max_steps
-      $ trace_from $ trace_file $ store_arg $ resume_arg)
+      const run $ circuit_arg $ target_arg $ engine $ max_steps $ trace_from
+      $ trace_file $ store_arg $ resume_arg)
 
 (* --- allsat -------------------------------------------------------------- *)
 

@@ -4,8 +4,8 @@
    the protocol reach the "both roads green" configuration? (The answer
    over the full 4-bit state space exposes unreachable-but-encodable
    states — exactly what backward reachability is used for in
-   verification.) Then the same fixpoint is run with the BDD engine and
-   the results are compared.
+   verification.) The fixpoint runs on the incremental SAT session, then
+   again on the BDD oracle, and the results are compared.
 
    Run with: dune exec examples/reachability.exe *)
 
@@ -33,19 +33,19 @@ let () =
      p0=0 p1=1 t0=1 t1=1. *)
   let target = Ps_gen.Targets.of_strings [ "0111" ] in
   Format.printf "Target: %a@.@." Ps_gen.Targets.pp target;
-  let r_sds = run_engine circuit target R.E_sds in
+  let r_sat = run_engine circuit target R.E_incremental in
   Format.printf "@.";
   let r_bdd = run_engine circuit target R.E_bdd in
   (* The reached sets must be identical BDDs over the same variable
      order; compare by counting and by membership sampling. *)
-  Format.printf "@.SDS and BDD fixpoints agree on size: %b@."
-    (r_sds.R.total_states = r_bdd.R.total_states);
+  Format.printf "@.SAT and BDD fixpoints agree on size: %b@."
+    (r_sat.R.total_states = r_bdd.R.total_states);
   let bits = Array.make 4 false in
   let agree = ref true in
   for code = 0 to 15 do
     for i = 0 to 3 do
       bits.(i) <- (code lsr i) land 1 = 1
     done;
-    if R.mem r_sds bits <> R.mem r_bdd bits then agree := false
+    if R.mem r_sat bits <> R.mem r_bdd bits then agree := false
   done;
-  Format.printf "SDS and BDD fixpoints agree pointwise: %b@." !agree
+  Format.printf "SAT and BDD fixpoints agree pointwise: %b@." !agree

@@ -18,42 +18,57 @@ let controlled_output = function
   | G.Xor | G.Xnor | G.Not | G.Buf | G.Const0 | G.Const1 ->
     invalid_arg "Lifting: gate has no controlling value"
 
-let justify n ~root ~values =
-  if Array.length values < N.num_nets n then
-    invalid_arg "Lifting.justify: values too short";
-  let visited = Array.make (N.num_nets n) false in
-  let required = Array.make (N.num_nets n) false in
+(* A net is visited in the current call iff its stamp equals the call's
+   epoch, so a reused [marks] costs nothing to clear. *)
+type marks = { mutable epoch : int; stamp : int array }
+
+let marks n = { epoch = 0; stamp = Array.make (N.num_nets n) 0 }
+
+let justify ?marks:m n ~roots ~value =
+  let m = match m with Some m -> m | None -> marks n in
+  if Array.length m.stamp < N.num_nets n then
+    invalid_arg "Lifting.justify: marks made for a smaller netlist";
+  m.epoch <- m.epoch + 1;
+  let epoch = m.epoch and stamp = m.stamp in
+  let leaves = ref [] in
   let rec visit net =
-    if not visited.(net) then begin
-      visited.(net) <- true;
+    if stamp.(net) <> epoch then begin
+      stamp.(net) <- epoch;
       match N.driver n net with
-      | N.Input | N.Latch _ -> required.(net) <- true
+      | N.Input | N.Latch _ -> leaves := net :: !leaves
       | N.Gate (kind, fanins) -> (
         match controlling_value kind with
-        | Some cv when values.(net) = controlled_output kind ->
+        | Some cv when value net = controlled_output kind ->
           (* One controlling fanin suffices; prefer one already visited so
-             justifications share leaves across gates. *)
-          let candidates = ref [] in
-          Array.iter
-            (fun f -> if values.(f) = cv then candidates := f :: !candidates)
-            fanins;
-          (match List.find_opt (fun f -> visited.(f)) !candidates with
-          | Some f -> visit f
-          | None -> (
-            match !candidates with
-            | f :: _ -> visit f
-            | [] ->
-              (* values is inconsistent with the netlist *)
-              invalid_arg "Lifting.justify: values are not a valid simulation"))
+             justifications share leaves across gates. Among equals the
+             last in fanin order wins. *)
+          let pick = ref (-1) and shared = ref (-1) in
+          for i = Array.length fanins - 1 downto 0 do
+            let f = fanins.(i) in
+            if !shared < 0 && value f = cv then begin
+              if !pick < 0 then pick := f;
+              if stamp.(f) = epoch then shared := f
+            end
+          done;
+          if !shared >= 0 then visit !shared
+          else if !pick >= 0 then visit !pick
+          else
+            (* the values are inconsistent with the netlist *)
+            invalid_arg "Lifting.justify: values are not a valid simulation"
         | Some _ | None ->
           (* Non-controlled case (or parity/unary/constant): every fanin
              participates in the value. *)
           Array.iter visit fanins)
     end
   in
-  visit root;
-  required
+  List.iter visit roots;
+  !leaves
 
 let lift_mask n ~root ~values ~proj_nets =
-  let required = justify n ~root ~values in
+  if Array.length values < N.num_nets n then
+    invalid_arg "Lifting.lift_mask: values too short";
+  let required = Array.make (N.num_nets n) false in
+  List.iter
+    (fun net -> required.(net) <- true)
+    (justify n ~roots:[ root ] ~value:(Array.get values));
   Array.map (fun net -> required.(net)) proj_nets

@@ -3,7 +3,7 @@
     After the solver finds a satisfying assignment, many of the projected
     variables are irrelevant: the objective is already justified by a
     subset of the leaf values. [justify] walks the constraint cone
-    backwards from the satisfied root, keeping for each gate only a
+    backwards from the satisfied roots, keeping for each gate only a
     minimal set of fanins that force its value — one controlling fanin
     when the gate output is at its controlled value (choosing an
     already-required fanin when possible, to maximize sharing), all
@@ -13,19 +13,33 @@
 
     Soundness invariant (property-tested): freezing the required leaves
     at their model values and varying every other leaf arbitrarily keeps
-    the root at its model value. *)
+    every root at its model value. *)
 
-(** [justify n ~root ~values] returns a membership array over nets: the
-    leaves (inputs and latch outputs) that the justification requires.
-    [values] must be a consistent simulation of [n] (e.g. from
-    {!Ps_circuit.Sim.eval}); [root] is the net whose value is being
-    justified (any value — justification works for 0 and 1 roots).
-    Only leaf positions are meaningful in the result. *)
-val justify : Ps_circuit.Netlist.t -> root:int -> values:bool array -> bool array
+(** Reusable visit marks for one netlist. A [justify] call with marks
+    allocates nothing proportional to the netlist; marks must not be
+    shared between domains. *)
+type marks
 
-(** [lift_mask n ~root ~values ~proj_nets] is the justification projected
-    onto the given nets: [mask.(i) = true] iff [proj_nets.(i)] is
-    required. *)
+val marks : Ps_circuit.Netlist.t -> marks
+
+(** [justify ?marks n ~roots ~value] returns the leaves (inputs and
+    latch outputs) that justify every root's value, each once. [value]
+    must read a consistent simulation of [n]'s cone of [roots] (e.g.
+    {!Ps_circuit.Sim.eval}, or the model of a full Tseitin encoding);
+    roots may take either value. Roots are justified in list order and
+    share the leaves already required, so for one root the result does
+    not depend on [marks]. Without [marks], a fresh set is allocated.
+    Raises [Invalid_argument] when the values contradict a gate. *)
+val justify :
+  ?marks:marks ->
+  Ps_circuit.Netlist.t ->
+  roots:int list ->
+  value:(int -> bool) ->
+  int list
+
+(** [lift_mask n ~root ~values ~proj_nets] is the justification of one
+    root projected onto the given nets: [mask.(i) = true] iff
+    [proj_nets.(i)] is required. [values] covers every net of [n]. *)
 val lift_mask :
   Ps_circuit.Netlist.t ->
   root:int ->

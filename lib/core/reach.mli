@@ -2,17 +2,17 @@
 
     [R0 = T], [R(k+1) = R(k) ∪ Pre(frontier)] with [frontier = the states
     added in step k]; terminates when no new states appear (guaranteed —
-    the state space is finite). The reached set is maintained as a BDD
-    over the state variables regardless of the per-step engine, so the
-    SAT engines and the native BDD engine are directly comparable. *)
+    the state space is finite). The reached set is a BDD over the state
+    variables on either engine, so the two are directly comparable. *)
 
-(** The per-step preimage method. [E_incremental] is different in kind:
-    instead of rebuilding the transition CNF and a fresh solver at every
-    frame, it drives a persistent {!Reach_inc} session (one CNF, one
-    solver, frontier cubes posed as assumptions, learnt clauses
-    surviving frame to frame). Its results are bit-identical to the
-    rebuild-per-frame engines'. *)
-type engine = E_sds | E_sds_dynamic | E_blocking_lift | E_bdd | E_incremental
+(** The fixpoint engine. [E_incremental] drives a {!Reach_inc} session:
+    one transition CNF and one solver for the whole run, frontier cubes
+    posed as assumptions, every model lifted to a justified cube and
+    blocked for good. [E_bdd] is the independent oracle: each frame's
+    preimage comes from {!Bdd_engine}, with no SAT solver and nothing
+    carried from frame to frame. Both give the same steps, reached set
+    and layers. *)
+type engine = E_bdd | E_incremental
 
 val engine_name : engine -> string
 
@@ -38,28 +38,25 @@ type result = {
 }
 
 (** [backward ?engine ?incremental ?max_steps ?trace circuit target]
-    runs the fixpoint. Default engine [E_sds], default [max_steps] 1000.
-
-    [~incremental:true] forces the {!Reach_inc} session regardless of
-    [engine] (equivalent to [~engine:E_incremental]); the result's
-    [engine] field is then [E_incremental].
+    runs the fixpoint. Default engine [E_incremental], default
+    [max_steps] 1000. [~incremental:true] forces the session whatever
+    [engine] says.
 
     [trace] receives a {!Ps_util.Trace.Frame_start} /
-    {!Ps_util.Trace.Frame_done} pair per fixpoint frame (from either
-    path — the rebuild-per-frame baseline reports [learnts = 0] and
-    [blocked = 0], since nothing persists across its frames) plus the
-    underlying solver events.
+    {!Ps_util.Trace.Frame_done} pair per session frame plus the
+    underlying solver events; the BDD oracle emits none.
 
-    [store] persists the fixpoint into a durable solution log: the
+    [store] persists the session into a durable solution log: the
     target's canonical cubes under a [frame = 0] checkpoint, then each
     frame's fresh-set cubes under a per-frame checkpoint — see
-    {!Session_store}. [resume] instead replays a recovered log
-    (rebuilding reached set, layers and steps bit-identically at the
+    {!Session_store}. [resume] instead rebuilds the session from a
+    recovered log (reached set, layers and steps bit-identical at the
     set level) and continues the fixpoint from the frame after the last
     checkpoint; replayed frames count toward [max_steps], so a killed
     and resumed run ends at the same total frame count as an
     uninterrupted one. Raises [Invalid_argument] when the log does not
-    match the circuit/target. *)
+    match the circuit/target, and when [store] or [resume] is given to
+    the BDD oracle. *)
 val backward :
   ?engine:engine ->
   ?incremental:bool ->

@@ -7,6 +7,7 @@ module Solver = Ps_sat.Solver
 module Lit = Ps_sat.Lit
 module Trace = Ps_util.Trace
 module Ss = Session_store
+module Lifting = Ps_allsat.Lifting
 
 type frame = {
   index : int;
@@ -46,20 +47,20 @@ type t = {
   trace : Trace.sink;
   store : Ps_store.Store.writer option;
   t_start : float;
+  marks : Lifting.marks;
+  state_pos : int array;        (* net -> state bit, -1 off the state nets *)
 }
 
 (* A permanent blocking clause over the state variables excludes one cube
-   of already-reached states from every later preimage enumeration. Each
-   state is blocked at most once over the whole session, so the clause-set
-   growth is bounded by |backward reachable set| — never by (frames ×
-   reached), the quadratic blow-up of re-blocking per frame. *)
-let block_state_cube t cube =
-  let lits =
-    List.map
-      (fun (pos, v) -> Lit.make t.tr.T.state_nets.(pos) (not v))
-      (Cube.to_list cube)
-  in
-  ignore (Solver.block t.solver lits)
+   of reached states, given as (state bit, value) literals, from every
+   later preimage enumeration. A frame blocks only cubes holding at
+   least one state it discovers, so the clause-set growth is bounded by
+   |backward reachable set| — never by (frames × reached), the
+   quadratic blow-up of re-blocking per frame. *)
+let block_states t lits =
+  ignore
+    (Solver.block t.solver
+       (List.map (fun (pos, v) -> Lit.make t.tr.T.state_nets.(pos) (not v)) lits))
 
 let create ?(trace = Trace.null) ?store ?resume circuit target =
   let tr = T.of_netlist circuit in
@@ -89,6 +90,11 @@ let create ?(trace = Trace.null) ?store ?resume circuit target =
       trace;
       store;
       t_start = Unix.gettimeofday ();
+      marks = Lifting.marks circuit;
+      state_pos =
+        (let a = Array.make (N.num_nets circuit) (-1) in
+         Array.iteri (fun pos net -> a.(net) <- pos) tr.T.state_nets;
+         a);
     }
   in
   (match resume with
@@ -96,7 +102,7 @@ let create ?(trace = Trace.null) ?store ?resume circuit target =
     (* The target set is reached from the start: block its cubes now,
        and persist them as frame 0 of the session log. *)
     let target_cubes = Ss.cubes_of_bdd reached ~width:nstate in
-    List.iter (block_state_cube t) target_cubes;
+    List.iter (fun c -> block_states t (Cube.to_list c)) target_cubes;
     Ss.persist_frame store ~frame:0 ~cubes:target_cubes
       ~ints:[ ("frontier_cubes", List.length target_cubes) ]
       ~floats:
@@ -114,7 +120,7 @@ let create ?(trace = Trace.null) ?store ?resume circuit target =
     in
     List.iter
       (fun (f : Ss.rframe) ->
-        List.iter (block_state_cube t) f.Ss.cubes;
+        List.iter (fun c -> block_states t (Cube.to_list c)) f.Ss.cubes;
         if f.Ss.ck.Ps_store.Store.frame > 0 then begin
           let fresh = Ss.bdd_of_cubes man f.Ss.cubes in
           t.reached <- B.bor t.reached fresh;
@@ -145,16 +151,24 @@ let fixpoint_reached t = B.is_zero t.frontier
 
 let solver t = t.solver
 
-(* Enumerate the fresh states of one frontier cube: minterm blocking
+(* Enumerate the fresh states of one frontier cube: lifted blocking
    all-SAT over the state variables under the cube's next-state literals
-   as assumptions. Every model is a state of Pre(cube) \ reached (the
-   permanent blocking clauses exclude the reached set and every state
-   found so far), blocked at once; the next solve resumes from the
-   blocking clause's assertion level. [on_state] sees each state once. *)
-let sweep t cube ~on_state =
+   as assumptions. Each model is lifted by justifying the assumed
+   next-state nets with the inputs held at their model values: the state
+   bits the justification leaves free are dropped, so every state of the
+   lifted cube steps into the frontier cube, and is reached once the
+   frame ends. The cube is blocked at once and for good; the next solve
+   resumes from the blocking clause's assertion level. A model's state
+   satisfies every earlier blocking clause, so each lifted cube holds at
+   least one state no earlier cube held. [on_cube] sees each lifted cube
+   as (state bit, value) literals. *)
+let sweep t cube ~on_cube =
+  let fixed = Cube.to_list cube in
+  let roots = List.map (fun (pos, _) -> t.tr.T.next_nets.(pos)) fixed in
   let assumptions =
-    List.map (fun (pos, v) -> Lit.make t.tr.T.next_nets.(pos) v) (Cube.to_list cube)
+    List.map (fun (pos, v) -> Lit.make t.tr.T.next_nets.(pos) v) fixed
   in
+  let value net = Solver.model_value t.solver net in
   let calls = ref 0 in
   let exhausted = ref false in
   while not !exhausted do
@@ -163,15 +177,20 @@ let sweep t cube ~on_state =
     | Solver.Unsat -> exhausted := true
     | Solver.Unknown -> assert false (* unbudgeted solve *)
     | Solver.Sat ->
-      let bits =
-        Array.map (fun net -> Solver.model_value t.solver net) t.tr.T.state_nets
+      let lits =
+        List.fold_left
+          (fun acc net ->
+            let pos = t.state_pos.(net) in
+            if pos < 0 then acc else (pos, value net) :: acc)
+          []
+          (Lifting.justify ~marks:t.marks t.circuit ~roots ~value)
       in
-      on_state bits;
-      block_state_cube t (Cube.of_assignment bits)
+      on_cube lits;
+      block_states t lits
   done;
   !calls
 
-let frame t =
+let frame ?(on_cube = fun _ _ -> ()) t =
   if fixpoint_reached t then false
   else begin
     t.index <- t.index + 1;
@@ -187,17 +206,26 @@ let frame t =
            learnts = learnts_start;
          });
     (* One sweep per frontier cube. A state in the preimage of two cubes
-       is found by the first sweep and blocked before the second starts,
-       so each fresh state is found exactly once. *)
+       is covered by the first sweep and blocked before the second
+       starts. A lifted cube may also cover states reached before this
+       frame, so it joins the fresh set minus those — except a full
+       minterm: it satisfied every blocking clause, so it is unreached. *)
     let fresh = ref (B.zero t.man) in
+    let unreached = lazy (B.bnot t.reached) in
     let new_cubes = ref 0 in
-    let on_state bits =
+    let add lits =
       incr new_cubes;
-      fresh :=
-        B.bor !fresh (B.cube t.man (List.init t.nstate (fun i -> (i, bits.(i)))))
+      let c = B.cube t.man lits in
+      let c =
+        if List.length lits = t.nstate then c else B.band c (Lazy.force unreached)
+      in
+      fresh := B.bor !fresh c
     in
     let sat_calls =
-      List.fold_left (fun n c -> n + sweep t c ~on_state) 0 frontier_cubes
+      List.fold_left
+        (fun n c ->
+          n + sweep t c ~on_cube:(fun lits -> on_cube c lits; add lits))
+        0 frontier_cubes
     in
     let conflicts = Solver.n_conflicts t.solver - conflicts0 in
     let fresh = !fresh in
@@ -205,8 +233,9 @@ let frame t =
     t.reached <- B.bor t.reached fresh;
     t.layers <- t.reached :: t.layers;
     t.frontier <- fresh;
-    (* [fresh] is disjoint from the old reached set (every reached state
-       is blocked), so the total is a sum, exact below 2^53. *)
+    (* [fresh] is disjoint from the old reached set (a full minterm is
+       unreached, a wider cube is cut by it), so the total is a sum,
+       exact below 2^53. *)
     t.total_states <- t.total_states +. frontier_states;
     let frame_rec =
       {

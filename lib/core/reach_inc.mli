@@ -1,10 +1,10 @@
 (** Incremental frame-to-frame backward reachability.
 
-    The rebuild-per-frame fixpoint ({!Reach.backward}) pays, at {e every}
-    frame: a target-block graft, a Tseitin encoding of the transition
-    cone, a fresh solver, and — most expensively — the loss of every
-    learnt clause the previous frame's enumeration derived. A session
-    removes all four costs:
+    A fixpoint that rebuilt its SAT problem per frame would pay, at
+    {e every} frame: a target-block graft, a Tseitin encoding of the
+    transition cone, a fresh solver, and — most expensively — the loss
+    of every learnt clause the previous frame derived. A session pays
+    none of these:
 
     - the transition-relation CNF (the cone of {e all} next-state nets)
       is encoded {e once} at {!create} into one persistent
@@ -15,33 +15,42 @@
       as the [solve] assumptions, so a frame adds no variable and
       nothing that would need retracting;
     - states already reached are excluded by {e permanent} blocking
-      clauses over the state variables, added only for the states a
+      clauses over the state variables, added only for the cubes a
       frame discovers (earlier frames' blocks persist, so no frame ever
       re-blocks the accumulated reached set);
     - learnt clauses survive every frame boundary: they are implied by
       the transition CNF and the blocking clauses, never by an
       assumption.
 
-    A sweep is minterm blocking all-SAT over the state variables: each
-    model's state minterm is blocked with {!Ps_sat.Solver.block} the
-    moment it is found, and the sweep's next solve (under the same
-    assumptions) continues from the blocking clause's assertion level
-    instead of the root. A state in the preimage of two frontier cubes
-    is therefore found by the first sweep only. Each frame emits the
-    {e minterms} of [Pre(frontier) \ reached]; the reached set, layers
-    and step counts are bit-identical to {!Reach.backward}'s (the
-    differential suite checks this on hundreds of random circuits). Use
-    [Reach.backward ~incremental:true] for the drop-in interface, or
-    drive frames one at a time with {!create}/{!frame}. *)
+    A sweep is lifted blocking all-SAT over the state variables. Each
+    model is lifted by justifying the frontier cube's assumed next-state
+    nets through the netlist ({!Ps_allsat.Lifting.justify}) with the
+    model's inputs held: only the state bits the justification needs
+    stay fixed, so every state of the lifted cube steps into the
+    frontier cube. The cube is blocked with {!Ps_sat.Solver.block} the
+    moment it is found — sound, because every state in it is reached
+    once the frame ends — and the sweep's next solve (under the same
+    assumptions) continues from the blocking clause's assertion level.
+    A lifted cube joins the fresh set minus the states reached before
+    the frame; a cube with no fixed bit blocks everything, and every
+    later sweep is Unsat at once. Each frame thus emits {e lifted cubes}
+    covering [Pre(frontier) \ reached]; the reached set, layers and step
+    counts equal the BDD oracle's ({!Reach.backward} [~engine:E_bdd];
+    the differential suite checks this on hundreds of random circuits).
+    Use {!Reach.backward} for the drop-in interface, or drive frames one
+    at a time with {!create}/{!frame}. *)
 
 (** Per-frame statistics, in frame order. *)
 type frame = {
   index : int;              (** 1-based frame number *)
   frontier_cubes : int;     (** frontier cubes, one sweep each *)
-  new_cubes : int;          (** state minterms discovered (= new states) *)
-  blocking_clauses : int;   (** blocking clauses added {e this} frame —
-                                equals [new_cubes]; never grows with the
-                                total reached set *)
+  new_cubes : int;          (** lifted cubes found: one per model, each
+                                holding at least one new state, so at
+                                most [frontier_states] *)
+  blocking_clauses : int;   (** blocking clauses added {e this} frame,
+                                one per lifted cube (equals
+                                [new_cubes]); never grows with the total
+                                reached set *)
   sat_calls : int;          (** solve calls: models plus one unsat
                                 answer per sweep *)
   conflicts : int;          (** conflicts spent inside this frame *)
@@ -90,11 +99,14 @@ val create :
   Ps_allsat.Cube.t list ->
   t
 
-(** [frame t] runs one fixpoint frame: enumerate
+(** [frame ?on_cube t] runs one fixpoint frame: enumerate
     [Pre(frontier) \ reached], one sweep per frontier cube, and extend
     the reached set. Returns [false] when the fixpoint was already
-    reached (no frame was run). *)
-val frame : t -> bool
+    reached (no frame was run). [on_cube frontier_cube lits] sees each
+    lifted cube as it is blocked, as (state bit, value) literals, with
+    the frontier cube whose sweep found it. *)
+val frame :
+  ?on_cube:(Ps_allsat.Cube.t -> (int * bool) list -> unit) -> t -> bool
 
 (** [fixpoint_reached t] — is the frontier empty? *)
 val fixpoint_reached : t -> bool

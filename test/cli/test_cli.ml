@@ -71,4 +71,15 @@ let () =
           Alcotest.test_case "unknown circuit" `Quick
             (expect_usage_error [ "preimage"; "no-such-circuit" ]);
         ] );
+      ( "reach engine",
+        [
+          Alcotest.test_case "reach -e sds" `Quick
+            (expect_usage_error [ "reach"; "count4"; "-e"; "sds" ]);
+          Alcotest.test_case "reach -e bdd --store" `Quick (fun () ->
+              let path = Filename.temp_file "cli" ".log" in
+              Fun.protect
+                ~finally:(fun () -> Sys.remove path)
+                (expect_usage_error
+                   [ "reach"; "count4"; "-e"; "bdd"; "--store"; path ]));
+        ] );
     ]

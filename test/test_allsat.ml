@@ -220,7 +220,10 @@ let lifting_sound =
       let env = Array.make (N.num_nets n) false in
       List.iter (fun net -> env.(net) <- R.bool rng) leaves;
       let values = Sim.eval n ~env in
-      let required = A.Lifting.justify n ~root ~values in
+      let required = Array.make (N.num_nets n) false in
+      List.iter
+        (fun net -> required.(net) <- true)
+        (A.Lifting.justify n ~roots:[ root ] ~value:(Array.get values));
       (* required positions are leaves only *)
       let leaves_only =
         List.for_all
@@ -249,10 +252,9 @@ let test_lifting_prefers_shared () =
   Ps_circuit.Builder.output b g;
   let n = Ps_circuit.Builder.finalize b in
   let values = [| false; false; false |] in
-  let req = A.Lifting.justify n ~root:g ~values in
-  check_int "exactly one input required"
-    1
-    ((if req.(x) then 1 else 0) + if req.(y) then 1 else 0)
+  let req = A.Lifting.justify n ~roots:[ g ] ~value:(Array.get values) in
+  check_int "exactly one input required" 1 (List.length req);
+  check_bool "and it is an input" true (List.mem x req || List.mem y req)
 
 (* --- Blocking + SDS cross-checks --------------------------------------------- *)
 

@@ -252,7 +252,7 @@ let test_reach_counter_full () =
         (Rh.engine_name engine ^ " reaches the full space")
         16.0 r.Rh.total_states;
       check_bool "fixpoint" true r.Rh.fixpoint)
-    [ Rh.E_sds; Rh.E_sds_dynamic; Rh.E_blocking_lift; Rh.E_bdd; Rh.E_incremental ]
+    [ Rh.E_bdd; Rh.E_incremental ]
 
 let test_reach_max_steps () =
   let c = Ps_gen.Counters.binary ~bits:4 () in
@@ -282,11 +282,8 @@ let reach_engines_agree =
       in
       let nstate = List.length (N.latches c) in
       let target = T.random ~bits:nstate ~ncubes:1 ~density:0.7 rng in
-      let r1 = Rh.backward ~engine:Rh.E_sds c target in
+      let r1 = Rh.backward ~engine:Rh.E_incremental c target in
       let r2 = Rh.backward ~engine:Rh.E_bdd c target in
-      let r3 = Rh.backward ~engine:Rh.E_blocking_lift c target in
-      let r4 = Rh.backward ~engine:Rh.E_sds_dynamic c target in
-      let r5 = Rh.backward ~engine:Rh.E_incremental c target in
       let same_pointwise a b =
         let ok = ref true in
         Helpers.iter_assignments nstate (fun bits ->
@@ -294,12 +291,7 @@ let reach_engines_agree =
             if Rh.mem a bits <> Rh.mem b bits then ok := false);
         !ok
       in
-      r1.Rh.total_states = r2.Rh.total_states
-      && r2.Rh.total_states = r3.Rh.total_states
-      && r3.Rh.total_states = r4.Rh.total_states
-      && r4.Rh.total_states = r5.Rh.total_states
-      && same_pointwise r1 r2 && same_pointwise r2 r3 && same_pointwise r3 r4
-      && same_pointwise r4 r5)
+      r1.Rh.total_states = r2.Rh.total_states && same_pointwise r1 r2)
 
 let test_reach_membership_vs_simulation () =
   (* Forward simulation confirms backward reachability: any state in the
@@ -338,8 +330,8 @@ let test_reach_membership_vs_simulation () =
 (* The Kstep time-frame unrolling is an independent oracle for the
    fixpoint: states within backward distance n = target ∪ (union of the
    exact-i-step preimages for i = 1..n). Checked against the last layer
-   of a [~max_steps:n] run, for both the rebuild-per-frame and the
-   incremental session path. *)
+   of a [~max_steps:n] run, for both the BDD oracle and the incremental
+   session. *)
 let reach_matches_kstep_union =
   Helpers.qtest "reach layers = union of kstep preimages" ~count:12
     QCheck.(int_range 0 1_000_000)
@@ -352,8 +344,8 @@ let reach_matches_kstep_union =
       let nstate = List.length (N.latches c) in
       let target = T.random ~bits:nstate ~ncubes:1 ~density:0.7 rng in
       let n = 1 + R.int rng 3 in
-      let check_mode ~incremental =
-        let r = Rh.backward ~incremental ~max_steps:n c target in
+      let check_engine engine =
+        let r = Rh.backward ~engine ~max_steps:n c target in
         let module B = Ps_bdd.Bdd in
         let man = r.Rh.man in
         let target_bdd =
@@ -372,10 +364,10 @@ let reach_matches_kstep_union =
         let last_layer = List.nth r.Rh.layers (List.length r.Rh.layers - 1) in
         B.equal kstep_union last_layer
       in
-      check_mode ~incremental:false && check_mode ~incremental:true)
+      check_engine Rh.E_bdd && check_engine Rh.E_incremental)
 
 (* Regression for the per-frame blocking discipline: the session blocks
-   only the states a frame discovers, so the blocking work per frame
+   only the cubes a frame discovers, so the blocking work per frame
    tracks the frontier — never the accumulated reached set. On the
    counter, every frame finds exactly one new state while the reached
    set grows to 256: any re-blocking of the full set would show up as a
@@ -434,6 +426,78 @@ let test_reach_inc_session_stepwise () =
     (Invalid_argument "Reach_inc.create: circuit has no latches")
     (fun () -> ignore (RI.create comb_free [ Cube.make 1 ]))
 
+(* Every lifted cube lies inside the preimage of the frontier cube whose
+   sweep found it: each of its states steps into that cube for the
+   model's inputs. Checked against the BDD preimage of the single cube. *)
+let reach_inc_lifted_cubes_sound =
+  Helpers.qtest "lifted cubes lie inside Pre(frontier cube)" ~count:30
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let module RI = Preimage.Reach_inc in
+      let module B = Ps_bdd.Bdd in
+      let rng = R.create ~seed in
+      let c =
+        Helpers.random_seq rng ~nin:(1 + R.int rng 3) ~nlatches:(2 + R.int rng 4)
+          ~ngates:(3 + R.int rng 14)
+      in
+      let nstate = List.length (N.latches c) in
+      let target = T.random ~bits:nstate ~ncubes:(1 + R.int rng 2) ~density:0.6 rng in
+      let man = B.new_man ~nvars:nstate in
+      let pre = Hashtbl.create 16 in
+      let pre_of fc =
+        let key = Cube.to_string fc in
+        match Hashtbl.find_opt pre key with
+        | Some p -> p
+        | None ->
+          let inst = I.make c [ fc ] in
+          let p = Ch.preimage_bdd_in man (BE.run inst) inst in
+          Hashtbl.add pre key p;
+          p
+      in
+      let ok = ref true in
+      let on_cube fc lits =
+        let cube = B.cube man lits in
+        if not (B.equal (B.band cube (pre_of fc)) cube) then ok := false
+      in
+      let s = RI.create c target in
+      while RI.frame ~on_cube s do () done;
+      !ok)
+
+(* Regression: a model whose justification needs no state bit lifts to
+   the empty cube — every state steps into the frontier cube. Blocking
+   it (an empty clause) must leave every later sweep Unsat at once; a
+   sweep that stopped there without blocking it would re-find reached
+   states later. *)
+let test_reach_inc_empty_lifted_cube () =
+  let module RI = Preimage.Reach_inc in
+  let c =
+    Ps_gen.Random_seq.generate
+      { Ps_gen.Random_seq.n_inputs = 1; n_latches = 2; n_gates = 1;
+        max_arity = 3; xor_share = 0.25; seed = 5 }
+  in
+  let target = [ Cube.of_string "-1" ] in
+  let s = RI.create c target in
+  let empty = ref 0 in
+  while RI.frame ~on_cube:(fun _ lits -> if lits = [] then incr empty) s do () done;
+  check_int "one model lifts to the empty cube" 1 !empty;
+  let r = RI.result s in
+  let oracle = Rh.backward ~engine:Rh.E_bdd c target in
+  check_float "every state reached" 4.0 r.RI.total_states;
+  check_int "same frame count as the oracle" (List.length oracle.Rh.steps)
+    (List.length r.RI.frames);
+  check_bool "the solver is unsat for good" false
+    (Ps_sat.Solver.okay (RI.solver s));
+  List.iter
+    (fun (f : RI.frame) ->
+      check_bool
+        (Printf.sprintf "frame %d: no cube re-finds a reached state" f.RI.index)
+        true
+        (float_of_int f.RI.new_cubes <= f.RI.frontier_states);
+      check_int
+        (Printf.sprintf "frame %d: one Unsat per frontier cube" f.RI.index)
+        (f.RI.new_cubes + f.RI.frontier_cubes) f.RI.sat_calls)
+    r.RI.frames
+
 let () =
   Alcotest.run "preimage_core"
     [
@@ -479,5 +543,8 @@ let () =
             test_reach_inc_blocking_constant;
           Alcotest.test_case "stepwise session = packaged run" `Quick
             test_reach_inc_session_stepwise;
+          reach_inc_lifted_cubes_sound;
+          Alcotest.test_case "empty lifted cube blocks everything" `Quick
+            test_reach_inc_empty_lifted_cube;
         ] );
     ]

@@ -13,8 +13,8 @@
      brute-force truth-table enumerator over all total assignments;
 
    - backward-reachability fixpoints: the incremental session
-     (Reach_inc: one solver, one assumption sweep per frontier cube)
-     against the rebuild-per-frame baseline — reached set, layers,
+     (Reach_inc: one solver, one assumption sweep per frontier cube,
+     lifted cubes) against the BDD oracle — reached set, layers,
      fixpoint flag and every per-step statistic must be bit-identical,
      and no session frame may find a state twice.
 
@@ -340,7 +340,7 @@ let test_cnfs () =
     run_cnf_seed seed
   done
 
-(* --- incremental vs rebuild-per-frame reachability ----------------------- *)
+(* --- incremental session vs BDD reachability ------------------------------ *)
 
 module Reach = Preimage.Reach
 module B = Ps_bdd.Bdd
@@ -384,14 +384,14 @@ let reach_witness seed =
     w_negate = false;
   }
 
-(* The incremental session must be bit-identical to the rebuild-per-frame
-   baseline: reached set, layer count, fixpoint flag, and every per-step
-   statistic (frontier/total state counts, frontier cube counts). *)
+(* The incremental session must be bit-identical to the BDD oracle:
+   reached set, layer count, fixpoint flag, and every per-step statistic
+   (frontier/total state counts, frontier cube counts). *)
 let check_reach w =
   let circuit = witness_circuit w in
   let target = witness_target w in
   let nstate = w.w_spec.Ps_gen.Random_seq.n_latches in
-  let base = Reach.backward ~engine:Reach.E_sds circuit target in
+  let base = Reach.backward ~engine:Reach.E_bdd circuit target in
   let inc = Reach.backward ~incremental:true circuit target in
   if base.Reach.fixpoint <> inc.Reach.fixpoint then
     Some
@@ -430,17 +430,25 @@ let check_reach w =
            a.Reach.frontier_cubes b.Reach.frontier_states b.Reach.total_states
            b.Reach.frontier_cubes)
     | None ->
-      (* Every model is a state minterm, so models = fresh states holds
-         exactly when no state is found twice — also when a state lies in
-         the preimage of several frontier cubes. *)
+      (* Every sweep ends in one Unsat answer, so the solve calls are
+         the lifted cubes plus the frontier cubes. Each lifted cube holds
+         a state no earlier cube held (the model's own), so there are
+         never more cubes than fresh states — and none exactly when the
+         frame adds no state. A session that re-finds a reached state
+         breaks the bound on frames where the others add one state. *)
       let module RI = Preimage.Reach_inc in
       List.find_opt
-        (fun (f : RI.frame) -> float_of_int f.RI.new_cubes <> f.RI.frontier_states)
+        (fun (f : RI.frame) ->
+          f.RI.sat_calls <> f.RI.new_cubes + f.RI.frontier_cubes
+          || float_of_int f.RI.new_cubes > f.RI.frontier_states
+          || (f.RI.new_cubes = 0) <> (f.RI.frontier_states = 0.0))
         (RI.run circuit target).RI.frames
       |> Option.map (fun (f : RI.frame) ->
              Printf.sprintf
-               "session frame %d: %d models for %g fresh states (%d frontier cubes)"
-               f.RI.index f.RI.new_cubes f.RI.frontier_states f.RI.frontier_cubes)
+               "session frame %d: %d solve calls, %d lifted cubes for %g fresh \
+                states (%d frontier cubes)"
+               f.RI.index f.RI.sat_calls f.RI.new_cubes f.RI.frontier_states
+               f.RI.frontier_cubes)
 
 let run_reach_seed seed =
   let w = reach_witness seed in

@@ -443,17 +443,16 @@ let test_reach_backward_kill_resume () =
   let circuit = Lazy.force reach_circuit in
   let nstate = List.length (Ps_circuit.Netlist.latches circuit) in
   let target = reach_target nstate in
-  let straight = R.backward ~engine:R.E_sds ~max_steps:40 circuit target in
+  let straight = R.backward ~max_steps:40 circuit target in
   let w = St.create ~checkpoint_every:0 ~path (meta nstate) in
-  let _ = R.backward ~engine:R.E_sds ~max_steps:2 ~store:w circuit target in
+  let _ = R.backward ~max_steps:2 ~store:w circuit target in
   let bytes = read_file path in
   write_file path (String.sub bytes 0 (String.length bytes - 3));
   match St.resume ~checkpoint_every:0 ~path () with
   | Error e -> Alcotest.fail e
   | Ok (r, w2) ->
       let resumed =
-        R.backward ~engine:R.E_sds ~max_steps:40 ~store:w2 ~resume:r circuit
-          target
+        R.backward ~max_steps:40 ~store:w2 ~resume:r circuit target
       in
       St.finalize w2 ~complete:resumed.R.fixpoint ();
       check_bool "resumed reaches fixpoint" true resumed.R.fixpoint;
